@@ -6,10 +6,9 @@ thermodynamics (power, heat currents, entropy production, machine regimes)
 follows without time evolution.
 """
 
-from .builder import (ProcessSpec, SetupHamiltonian, SystemSpec,
-                      assemble_hamiltonian, build_setup, chain_length_for_tau,
-                      copies_required, rethermalization_estimate,
-                      thermal_correlation)
+from .builder import (SetupHamiltonian, SystemSpec, assemble_hamiltonian,
+                      chain_length_for_tau, copies_required,
+                      rethermalization_estimate, thermal_correlation)
 from .chainmap import (ChainCoefficients, chain_map_recursion, chain_map_tridiag,
                        discretize_modes, star_to_chain)
 from .config import (BathConfig, ProcessConfig, RunConfig, SweepConfig,

@@ -57,24 +57,6 @@ class SystemSpec:
         return cls(h_s=np.array([[0.0, g], [g, 0.0]]), coupling_sites=(0, 1))
 
 
-@dataclass(frozen=True)
-class ProcessSpec:
-    """Cycle duration and per-bath inputs of the refresh process."""
-
-    tau: float
-    baths: tuple[tuple[BathThermalSpec, ChainCoefficients], tuple[BathThermalSpec, ChainCoefficients]]
-    l_0: int = 5
-    tau_r_factor: float = 10.0
-
-    def __post_init__(self):
-        if not (self.tau > 0):
-            raise ValueError("tau must be positive")
-        if self.l_0 < 0:
-            raise ValueError("l_0 must be >= 0")
-        if len(self.baths) != 2:
-            raise ValueError("exactly two baths are supported")
-
-
 @dataclass(eq=False)
 class SetupHamiltonian:
     """Block single-particle matrix (system | chain 1 | chain 2) with its index map."""
@@ -166,13 +148,6 @@ def assemble_hamiltonian(system: SystemSpec,
         h[off + idx[:-1], off + idx[1:]] = hop[1:]
         h[off + idx[1:], off + idx[:-1]] = hop[1:]
     return SetupHamiltonian(h=h, l_s=l_s, l_b=l_b, coupling_sites=system.coupling_sites)
-
-
-def build_setup(system: SystemSpec, process: ProcessSpec) -> SetupHamiltonian:
-    """Size the chains from tau and assemble the set-up Hamiltonian."""
-    l_b = max(chain_length_for_tau(chain.hop_asym, process.tau, process.l_0)
-              for _, chain in process.baths)
-    return assemble_hamiltonian(system, [chain for _, chain in process.baths], l_b)
 
 
 def thermal_correlation(h_b: np.ndarray, spec: BathThermalSpec) -> np.ndarray:

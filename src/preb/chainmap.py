@@ -8,10 +8,11 @@ recursion directly on a frequency grid:
     J_{p+1}   = 4 g_p^2 J_p / (J_p^H^2 + J_p^2)
 
 with J^H the principal-value Hilbert transform.  The recursion is exact but
-ill-conditioned at depth, so ``chain_map_tridiag`` is the production path: it
-discretizes the bath into modes with exact cell weights and tridiagonalizes by
-a Lanczos recurrence with full reorthogonalization.  Both produce identical
-coefficients in the continuum limit.
+ill-conditioned at depth, so it serves as the cross-check oracle and
+``chain_map_tridiag`` is the production path: it discretizes the bath into
+modes with exact cell weights and tridiagonalizes by a Lanczos recurrence with
+full reorthogonalization.  Both produce identical coefficients in the
+continuum limit.
 
 Normalization note: the total squared coupling of the discretized bath equals
 (1/2pi) int J, i.e. the first hopping g_0 is the physical system-chain

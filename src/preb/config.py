@@ -16,14 +16,6 @@ from typing import Optional
 from .errors import ConfigError
 from .spectral import SpectralFunction, read_spectral_table
 
-METHOD_AUTO = "auto"
-METHOD_TRIDIAG = "tridiag"
-METHOD_RECURSION = "recursion"
-
-# the recursion is reliable only for shallow chains
-RECURSION_DEPTH_LIMIT = 10
-
-
 @dataclass(frozen=True)
 class BathConfig:
     kind: str = "lorentzian"
@@ -55,10 +47,8 @@ class ProcessConfig:
     tau: float = 1.0
     l_0: int = 5
     tau_r_factor: float = 10.0
-    method: str = METHOD_AUTO
     depth: Optional[int] = None      # override the chain depth chosen from tau
     n_modes: Optional[int] = None    # override the discretization size
-    grid_points: int = 8192          # frequency grid for the recursion route
 
 
 @dataclass(frozen=True)
@@ -101,8 +91,7 @@ _BATH_FIELDS = {
     "cutoff": float, "beta": float, "mu": float, "table": str,
 }
 _PROCESS_FIELDS = {
-    "tau": float, "l0": int, "tau_r_factor": float, "method": str,
-    "depth": int, "n_modes": int, "grid_points": int,
+    "tau": float, "l0": int, "tau_r_factor": float, "depth": int, "n_modes": int,
 }
 _SWEEP_FIELDS = {"axis": str, "min": float, "max": float, "points": int, "spacing": str}
 _SYSTEM_FIELDS = {"g": float}
@@ -122,11 +111,6 @@ def _section(parser: configparser.ConfigParser, name: str, fields: dict) -> dict
         except ValueError as exc:
             raise ConfigError(f"bad value for {name}.{key}: {raw!r}") from exc
     return out
-
-
-def _bath_config(values: dict) -> BathConfig:
-    rename = {"lambda": "lam"}
-    return BathConfig(**{rename.get(k, k): v for k, v in values.items()})
 
 
 def parse_config(path) -> RunConfig:
@@ -179,8 +163,6 @@ def _validate_process(process: ProcessConfig) -> None:
         raise ConfigError("process.tau must be positive")
     if process.l_0 < 0:
         raise ConfigError("process.l0 must be >= 0")
-    if process.method not in (METHOD_AUTO, METHOD_TRIDIAG, METHOD_RECURSION):
-        raise ConfigError(f"unknown chain-map method {process.method!r}")
     if process.depth is not None and process.depth < 1:
         raise ConfigError("process.depth must be >= 1")
 

@@ -1,8 +1,8 @@
 """End-to-end runs: config -> chains -> set-up -> propagator -> steady state -> report.
 
 The pipeline is deterministic for a fixed configuration; chain maps are cached
-per (spectral function, depth, settings) within the process so parameter sweeps
-that share a bath do not recompute them.
+per (spectral function, depth, discretization size) within the process so
+parameter sweeps that share a bath do not recompute them.
 """
 
 from __future__ import annotations
@@ -12,22 +12,20 @@ from typing import Optional
 
 import numpy as np
 
-from . import config as cfgmod
 from .builder import (SetupHamiltonian, SystemSpec, assemble_hamiltonian,
                       chain_length_for_tau, copies_required,
                       rethermalization_estimate, thermal_correlation)
-from .chainmap import ChainCoefficients, chain_map_recursion, chain_map_tridiag
-from .config import RunConfig
-from .dynamics import StepThermo, TrajectoryResult, preb_trajectory, step_thermodynamics
-from .errors import ConfigError
+from .chainmap import MIN_MODES_PER_SITE, ChainCoefficients, chain_map_tridiag
+from .config import ProcessConfig, RunConfig
+from .dynamics import preb_trajectory, step_thermodynamics
+from .errors import ConfigError, NoUniqueNessError
 from .negf import NegfReport, landauer_currents
 from .propagator import (StepPropagator, drive_matrix, solve_dlyap_direct,
-                         solve_dlyap_doubling, stability_rate, step_propagator)
+                         stability_rate, step_propagator)
 from .spectral import BathThermalSpec, SpectralFunction
 from .thermo import NessReport, classify_regime, ness_rates
 
 PROBE_DEPTH = 16
-DIRECT_SOLVER_LIMIT = 32  # beyond this system size the doubling solver takes over
 
 _CHAIN_CACHE: dict = {}
 
@@ -36,28 +34,17 @@ def clear_caches() -> None:
     _CHAIN_CACHE.clear()
 
 
-def _chain_for(sf: SpectralFunction, depth: int, process: cfgmod.ProcessConfig,
-               method: Optional[str] = None) -> ChainCoefficients:
-    method = method or process.method
-    if method == cfgmod.METHOD_AUTO:
-        method = cfgmod.METHOD_TRIDIAG
-    if method == cfgmod.METHOD_RECURSION and depth > cfgmod.RECURSION_DEPTH_LIMIT:
+def _chain_for(sf: SpectralFunction, depth: int,
+               process: ProcessConfig) -> ChainCoefficients:
+    n_modes = process.n_modes
+    if n_modes is not None and n_modes < MIN_MODES_PER_SITE * depth:
         raise ConfigError(
-            f"the recursion route is reliable only to depth {cfgmod.RECURSION_DEPTH_LIMIT}; "
-            f"requested {depth} (use the tridiag method)")
-    key = (sf, depth, method, process.n_modes, process.grid_points)
-    try:
-        cached = _CHAIN_CACHE.get(key)
-    except TypeError:
-        key, cached = None, None
-    if cached is not None:
-        return cached
-    if method == cfgmod.METHOD_TRIDIAG:
-        chain = chain_map_tridiag(sf, depth, n_modes=process.n_modes)
-    else:
-        chain = chain_map_recursion(sf, depth, points=process.grid_points)
-    if key is not None:
-        _CHAIN_CACHE[key] = chain
+            f"process.n_modes = {n_modes} is too small for chain depth {depth}: "
+            f"need at least {MIN_MODES_PER_SITE * depth}")
+    key = (sf, depth, n_modes)
+    chain = _CHAIN_CACHE.get(key)
+    if chain is None:
+        chain = _CHAIN_CACHE[key] = chain_map_tridiag(sf, depth, n_modes=n_modes)
     return chain
 
 
@@ -78,17 +65,36 @@ class NessBundle:
     rate: float
 
     def solve_ness(self) -> np.ndarray:
-        solver = solve_dlyap_direct if self.setup.l_s <= DIRECT_SOLVER_LIMIT \
-            else solve_dlyap_doubling
-        return solver(self.prop.g_s, self.p_s)
+        return solve_dlyap_direct(self.prop.g_s, self.p_s)
+
+    def report(self, c_ness: Optional[np.ndarray] = None) -> NessReport:
+        """Steady-state report of this point, solving for ``c_ness`` unless given.
+
+        With beta1 >= beta2 the hot/cold labeling is undefined, so the point is
+        reported as a dud without Carnot references.
+        """
+        if c_ness is None:
+            c_ness = self.solve_ness()
+        report = ness_rates(c_ness, self.prop, self.p_s, self.c_baths, self.specs)
+        if report.beta1 < report.beta2:
+            classify_regime(report)
+        cfg = self.cfg
+        report.r = self.rate
+        report.spectral_radius = self.spectral_radius
+        if cfg.bath1.kind == "lorentzian":
+            report.lam = cfg.bath1.lam
+        if cfg.bath1.kind == "lorentzian" and cfg.bath2.kind == "lorentzian":
+            tau_r = rethermalization_estimate(min(cfg.bath1.lam, cfg.bath2.lam),
+                                              cfg.process.tau_r_factor)
+            report.n_copies = copies_required(tau_r, cfg.process.tau)
+        return report
 
 
 def chain_depth(cfg: RunConfig) -> int:
     """Chain length: the configured override, or ceil(g_B tau) + L_0 from a probe map."""
     if cfg.process.depth is not None:
         return cfg.process.depth
-    g_b = max(_chain_for(bath.spectral_function(), PROBE_DEPTH, cfg.process,
-                         method=cfgmod.METHOD_TRIDIAG).hop_asym
+    g_b = max(_chain_for(bath.spectral_function(), PROBE_DEPTH, cfg.process).hop_asym
               for bath in (cfg.bath1, cfg.bath2))
     return chain_length_for_tau(g_b, cfg.process.tau, cfg.process.l_0)
 
@@ -111,31 +117,9 @@ def build_bundle(cfg: RunConfig, l_b: Optional[int] = None) -> NessBundle:
                       spectral_radius=radius, rate=rate)
 
 
-def _fill_auxiliary(report: NessReport, bundle: NessBundle) -> None:
-    cfg = bundle.cfg
-    report.r = bundle.rate
-    report.spectral_radius = bundle.spectral_radius
-    if cfg.bath1.kind == "lorentzian":
-        report.lam = cfg.bath1.lam
-    if cfg.bath1.kind == "lorentzian" and cfg.bath2.kind == "lorentzian":
-        tau_r = rethermalization_estimate(min(cfg.bath1.lam, cfg.bath2.lam),
-                                          cfg.process.tau_r_factor)
-        report.n_copies = copies_required(tau_r, cfg.process.tau)
-
-
 def run_ness(cfg: RunConfig) -> NessReport:
-    """Solve one parameter point and return the full steady-state report.
-
-    With beta1 >= beta2 the hot/cold labeling is undefined, so the point is
-    reported as a dud without Carnot references.
-    """
-    bundle = build_bundle(cfg)
-    c_ness = bundle.solve_ness()
-    report = ness_rates(c_ness, bundle.prop, bundle.p_s, bundle.c_baths, bundle.specs)
-    if report.beta1 < report.beta2:
-        classify_regime(report)
-    _fill_auxiliary(report, bundle)
-    return report
+    """Solve one parameter point and return the full steady-state report."""
+    return build_bundle(cfg).report()
 
 
 def run_trajectory(cfg: RunConfig, steps: int):
@@ -145,14 +129,12 @@ def run_trajectory(cfg: RunConfig, steps: int):
     report is None when the point has no unique steady state.
     """
     bundle = build_bundle(cfg)
-    c_ness = None
-    report = None
-    if bundle.spectral_radius < 1.0 - 1e-12:
+    try:
         c_ness = bundle.solve_ness()
-        report = ness_rates(c_ness, bundle.prop, bundle.p_s, bundle.c_baths, bundle.specs)
-        if report.beta1 < report.beta2:
-            classify_regime(report)
-        _fill_auxiliary(report, bundle)
+    except NoUniqueNessError:
+        c_ness, report = None, None
+    else:
+        report = bundle.report(c_ness)
     c0 = np.zeros((bundle.setup.l_s, bundle.setup.l_s), dtype=complex)
     traj = preb_trajectory(c0, steps, bundle.prop, bundle.p_s, c_ness=c_ness)
     thermos = [step_thermodynamics(c, bundle.prop, bundle.c_baths, bundle.specs)
@@ -181,10 +163,7 @@ def chain_size_convergence(cfg: RunConfig, factor: int = 2) -> float:
     light-cone sizing of the chains.
     """
     base = run_ness(cfg)
-    l_b = chain_depth(cfg)
-    wide = build_bundle(cfg, l_b=factor * l_b)
-    c_ness = wide.solve_ness()
-    ref = ness_rates(c_ness, wide.prop, wide.p_s, wide.c_baths, wide.specs)
+    ref = build_bundle(cfg, l_b=factor * chain_depth(cfg)).report()
     scale = max(abs(ref.qdot[0]), abs(ref.qdot[1]), abs(ref.p_ext), 1e-12)
     return max(abs(base.p_ext - ref.p_ext), abs(base.qdot[0] - ref.qdot[0]),
                abs(base.qdot[1] - ref.qdot[1])) / scale

@@ -120,8 +120,8 @@ def solve_dlyap_doubling(g_s: np.ndarray, p_s: np.ndarray, *,
                          tol: float = 1e-14, max_doublings: int = 200) -> np.ndarray:
     """Solve the same equation by Smith doubling: P += G^dag P G, G <- G^2.
 
-    Converges super-geometrically for any stable G; used as the cross-check and
-    as the fallback for large system blocks.
+    Converges super-geometrically for any stable G; the reference that the
+    production solver ``solve_dlyap_direct`` is checked against.
     """
     _check_stable(g_s)
     c = np.array(p_s, dtype=complex)

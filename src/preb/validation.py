@@ -20,7 +20,7 @@ from .pipeline import build_bundle, run_negf, run_ness
 from .spectral import SpectralFunction
 from .sweeps import apply_axis
 from .thermo import (REGIME_HEAT_ENGINE, carnot_cop, carnot_efficiency,
-                     collisional_limit, curzon_ahlborn_efficiency, ness_rates)
+                     collisional_limit, curzon_ahlborn_efficiency)
 
 OMEGA01, OMEGA02 = 2.0, -1.0
 KAPPA, CUTOFF = 2.0, 6.0
@@ -287,7 +287,7 @@ def criterion_10(shared: _Shared) -> CriterionResult:
         energy_closure = abs(st.du + sum(st.dh_b) + sum(st.dh_sb))
         particle_closure = abs(st.dn_s + st.dn[0] + st.dn[1])
         worst_closure = max(worst_closure, energy_closure, particle_closure)
-    report = ness_rates(c_ness, bundle.prop, bundle.p_s, bundle.c_baths, bundle.specs)
+    report = bundle.report(c_ness)
     tail = cumulative_thermo(steps[180:], cfg.process.tau)
     rate_err = max(abs(tail.p_ext - report.p_ext) / abs(report.p_ext),
                    abs(tail.qdot[0] - report.qdot[0]) / abs(report.qdot[0]),

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from preb.builder import (ProcessSpec, SetupHamiltonian, SystemSpec,
-                          assemble_hamiltonian, build_setup, chain_length_for_tau,
-                          copies_required, rethermalization_estimate,
-                          thermal_correlation)
+from preb.builder import (SetupHamiltonian, SystemSpec, assemble_hamiltonian,
+                          chain_length_for_tau, copies_required,
+                          rethermalization_estimate, thermal_correlation)
 from preb.chainmap import ChainCoefficients
 from preb.spectral import BathThermalSpec, fermi_occupation
 
@@ -104,13 +103,6 @@ class TestAssemble:
         with pytest.raises(ValueError, match="first chain site"):
             SetupHamiltonian(h=h, l_s=2, l_b=2, coupling_sites=(0, 1))
 
-    def test_build_setup_sizes_from_tau(self):
-        chain = toy_chain(np.zeros(40), np.full(40, 3.0))
-        spec = BathThermalSpec(1.0, 0.0)
-        process = ProcessSpec(tau=2.0, baths=((spec, chain), (spec, chain)), l_0=5)
-        setup = build_setup(SystemSpec.two_site(1.0), process)
-        assert setup.l_b == 11  # ceil(3 * 2) + 5
-
 
 class TestThermalCorrelation:
     def test_filled_band_is_identity(self):
@@ -149,15 +141,6 @@ class TestThermalCorrelation:
         with pytest.raises(ValueError):
             thermal_correlation(np.array([[0.0, 1.0], [0.5, 0.0]]),
                                 BathThermalSpec(1.0, 0.0))
-
-
-def test_process_spec_validation():
-    chain = toy_chain([0.0], [1.0])
-    spec = BathThermalSpec(1.0, 0.0)
-    with pytest.raises(ValueError):
-        ProcessSpec(tau=0.0, baths=((spec, chain), (spec, chain)))
-    with pytest.raises(ValueError):
-        ProcessSpec(tau=1.0, baths=((spec, chain), (spec, chain)), l_0=-1)
 
 
 def test_system_spec_validation():

@@ -6,7 +6,7 @@ import pytest
 
 from preb import cli
 from preb.config import ConfigError, parse_config
-from preb.pipeline import run_ness
+from preb.pipeline import run_ness, run_trajectory
 from preb.sweeps import SWEEP_COLUMNS, apply_axis, run_sweep, sweep_to_csv
 from preb.thermo import REPORT_COLUMNS
 from preb.validation import run_validation
@@ -40,6 +40,27 @@ ENGINE_INI = textwrap.dedent("""\
 def engine_ini(tmp_path):
     path = tmp_path / "engine.ini"
     path.write_text(ENGINE_INI)
+    return str(path)
+
+
+def weak_tabulated_ini(tmp_path, extra=""):
+    """Both baths tabulated at J = 1e-290: the chains decouple, so no unique NESS."""
+    table = tmp_path / "weak.csv"
+    w = np.linspace(-6, 6, 65)
+    lines = ["omega,J"] + [f"{wi},1e-290" for wi in w]
+    table.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "run.ini"
+    path.write_text(textwrap.dedent(f"""\
+        [bath1]
+        kind = tabulated
+        table = {table}
+        beta = 0.1
+
+        [bath2]
+        kind = tabulated
+        table = {table}
+        beta = 1.0
+    """) + textwrap.dedent(extra))
     return str(path)
 
 
@@ -81,9 +102,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config("/nonexistent/run.ini")
 
-    def test_invalid_physics_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "[bath1]\nbeta = -2\n",
+        "[process]\ntau = 0\n",
+        "[process]\nl0 = -1\n",
+        "[process]\ndepth = 0\n",
+        "[process]\nmethod = tridiag\n",     # removed key
+        "[process]\ngrid_points = 8192\n",  # removed key
+    ], ids=["beta", "tau", "l0", "depth", "method", "grid_points"])
+    def test_invalid_physics_rejected(self, tmp_path, text):
         path = tmp_path / "bad.ini"
-        path.write_text("[bath1]\nbeta = -2\n")
+        path.write_text(text)
         with pytest.raises(ConfigError):
             parse_config(path)
 
@@ -121,29 +150,14 @@ class TestSweeps:
         assert header == ",".join(SWEEP_COLUMNS)
 
     def test_failing_points_land_in_error_column(self, tmp_path):
-        table = tmp_path / "weak.csv"
-        w = np.linspace(-6, 6, 65)
-        lines = ["omega,J"] + [f"{wi},1e-290" for wi in w]
-        table.write_text("\n".join(lines) + "\n")
-        path = tmp_path / "run.ini"
-        path.write_text(textwrap.dedent(f"""\
-            [bath1]
-            kind = tabulated
-            table = {table}
-            beta = 0.1
-
-            [bath2]
-            kind = tabulated
-            table = {table}
-            beta = 1.0
-
+        path = weak_tabulated_ini(tmp_path, """
             [sweep]
             axis = tau
             min = 0.5
             max = 1.0
             points = 2
             spacing = linear
-        """))
+        """)
         rows = run_sweep(parse_config(path))
         assert all(r.report is None for r in rows)
         assert all("NESS" in r.error or "Error" in r.error for r in rows)
@@ -186,6 +200,23 @@ class TestCli:
             kappa = 1e-300
         """))
         assert cli.main(["ness", str(path)]) == 3
+
+    def test_too_few_modes_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "coarse.ini"
+        path.write_text("[process]\nn_modes = 10\n")
+        assert cli.main(["ness", str(path)]) == 2
+        assert "process.n_modes" in capsys.readouterr().err
+
+    def test_trajectory_without_unique_ness(self, tmp_path):
+        traj, thermos, report = run_trajectory(parse_config(weak_tabulated_ini(tmp_path)),
+                                               steps=3)
+        assert report is None
+        assert traj.dist_to_ness is None
+        assert len(thermos) == 3
+        assert all(st.first_law_defect < 1e-10 for st in thermos)
+
+    def test_trajectory_command_without_unique_ness(self, tmp_path, capsys):
+        assert cli.main(["trajectory", weak_tabulated_ini(tmp_path), "--steps", "3"]) == 0
 
     def test_trajectory_command(self, engine_ini, tmp_path):
         out = tmp_path / "traj.csv"

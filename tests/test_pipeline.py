@@ -3,8 +3,6 @@ import dataclasses
 import pytest
 
 from conftest import engine_config
-from preb.config import METHOD_RECURSION
-from preb.errors import ConfigError
 from preb.pipeline import (build_bundle, chain_depth, chain_size_convergence,
                            run_ness, run_trajectory)
 
@@ -33,25 +31,6 @@ class TestSizing:
         assert chain_size_convergence(cfg) < 1e-4
         buffered = cfg.replace(process=dataclasses.replace(cfg.process, l_0=10))
         assert chain_size_convergence(buffered) < 1e-6
-
-
-class TestMethods:
-    def test_recursion_route_matches_tridiag_at_shallow_depth(self):
-        cfg = engine_config(lam=0.2)
-        cfg_shallow = cfg.replace(process=dataclasses.replace(cfg.process, depth=8))
-        rep_t = run_ness(cfg_shallow)
-        cfg_rec = cfg_shallow.replace(
-            process=dataclasses.replace(cfg_shallow.process, method=METHOD_RECURSION))
-        rep_r = run_ness(cfg_rec)
-        assert rep_r.p_ext == pytest.approx(rep_t.p_ext, rel=2e-3)
-        assert rep_r.qdot[0] == pytest.approx(rep_t.qdot[0], rel=2e-3)
-
-    def test_recursion_route_refuses_deep_chains(self):
-        cfg = engine_config()
-        cfg = cfg.replace(process=dataclasses.replace(cfg.process,
-                                                      method=METHOD_RECURSION, depth=40))
-        with pytest.raises(ConfigError, match="recursion"):
-            run_ness(cfg)
 
 
 class TestTrajectoryRun:

@@ -11,8 +11,13 @@ with J^H the principal-value Hilbert transform.  The recursion is exact but
 ill-conditioned at depth, so it serves as the cross-check oracle and
 ``chain_map_tridiag`` is the production path: it discretizes the bath into
 modes with exact cell weights and tridiagonalizes by a Lanczos recurrence with
-full reorthogonalization.  Both produce identical coefficients in the
-continuum limit.
+full reorthogonalization (Chin, Rivas, Huelga & Plenio, J. Math. Phys. 51,
+092109 (2010)).  The Krylov basis is one array, and each step projects the new
+vector out of the whole basis by block classical Gram-Schmidt applied twice
+(CGS2) as BLAS matrix-vector products; twice is enough to keep it orthogonal
+to working precision (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50,
+1069 (2005)).  Both routes produce identical coefficients in the continuum
+limit.
 
 Normalization note: the total squared coupling of the discretized bath equals
 (1/2pi) int J, i.e. the first hopping g_0 is the physical system-chain
@@ -222,46 +227,53 @@ def star_to_chain(freqs: np.ndarray, couplings_sq: np.ndarray, depth: int, *,
     """Tridiagonalize a star bath (mode frequencies, squared couplings) into a chain.
 
     Three-term Lanczos recurrence on the diagonal mode matrix, started from the
-    normalized coupling vector, with full reorthogonalization (two passes).
-    Returns (eps, hop) with hop[0] the system-chain coupling; the arrays are
-    shorter than ``depth`` if the Krylov space is exhausted first.
+    normalized coupling vector.  The Krylov basis is kept as the rows of one
+    ``(min(depth, N), N)`` array, so each step reorthogonalizes the new vector
+    against the whole basis by block classical Gram-Schmidt applied twice
+    (CGS2), ``r -= Q.T @ (Q @ r)``, as BLAS matrix-vector products.  After the
+    second pass a leak ``max|Q @ r| > ortho_tol * beta`` raises
+    ``NumericsError``.  Returns (eps, hop) with hop[0] the system-chain
+    coupling; the arrays are shorter than ``depth`` if the Krylov space is
+    exhausted first.
     """
     freqs = np.asarray(freqs, dtype=float)
     couplings_sq = np.asarray(couplings_sq, dtype=float)
     if freqs.ndim != 1 or freqs.shape != couplings_sq.shape or freqs.size == 0:
         raise ValueError("freqs and couplings_sq must be matching 1-d arrays")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if np.any(couplings_sq < 0):
         raise ValueError("squared couplings must be non-negative")
     g0 = np.sqrt(couplings_sq.sum())
     if g0 <= 0:
         raise NumericsError("bath carries no coupling weight")
     scale = max(1.0, float(np.max(np.abs(freqs))))
-    v = np.sqrt(couplings_sq) / g0
-    basis = [v]
+    steps = min(depth, freqs.size)
+    basis = np.empty((steps, freqs.size))
+    basis[0] = np.sqrt(couplings_sq) / g0
     eps, hop = [], [g0]
-    beta_prev = 0.0
-    v_prev = None
-    for p in range(depth):
-        w = basis[-1]
-        alpha = float(np.dot(freqs * w, w))
+    beta = 0.0
+    for p in range(steps):
+        w = basis[p]
+        fw = freqs * w
+        alpha = float(np.dot(fw, w))
         eps.append(alpha)
-        if p == depth - 1 or len(basis) == freqs.size:
+        if p == steps - 1:
             break
-        r = freqs * w - alpha * w
-        if v_prev is not None:
-            r -= beta_prev * v_prev
+        r = fw - alpha * w
+        if p:
+            r -= beta * basis[p - 1]  # beta is still the previous step's hopping
+        q = basis[:p + 1]
         for _ in range(2):
-            for u in basis:
-                r -= np.dot(u, r) * u
-        leaked = max((abs(np.dot(u, r)) for u in basis), default=0.0)
+            r -= (q @ r) @ q
+        leaked = float(np.max(np.abs(q @ r)))
         beta = float(np.linalg.norm(r))
         if beta <= 1e-13 * scale:
             break  # Krylov space exhausted: the chain terminates here
         if leaked > ortho_tol * beta:
             raise NumericsError(f"loss of orthogonality at depth {p + 1}")
         hop.append(beta)
-        v_prev, beta_prev = w, beta
-        basis.append(r / beta)
+        basis[p + 1] = r / beta
     return np.array(eps), np.array(hop)
 
 

@@ -44,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the [sweep] axis of the config")
     add_common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="parallel workers (at most the CPU count and the sweep points)")
 
     p_traj = sub.add_parser("trajectory", help="iterate the cycle map from the empty system")
     add_common(p_traj)

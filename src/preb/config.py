@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,11 +111,16 @@ def _section(parser: configparser.ConfigParser, name: str, fields: dict) -> dict
             out[key] = fields[key](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {name}.{key}: {raw!r}") from exc
+        if isinstance(out[key], float) and not math.isfinite(out[key]):
+            raise ConfigError(f"{name}.{key} must be finite, got {raw!r}")
     return out
 
 
 def parse_config(path) -> RunConfig:
-    """Read a config file; raises ConfigError on unknown keys or bad values."""
+    """Read a config file; raises ConfigError on unknown keys or bad values.
+
+    Every float value must be finite: nan and inf are rejected by key.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path) as fh:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -60,15 +61,17 @@ def _run_point(cfg: RunConfig) -> tuple[Optional[NessReport], Optional[str]]:
 def run_sweep(cfg: RunConfig, jobs: int = 1) -> list[SweepRow]:
     """One steady-state solve per grid point; failures land in the error column.
 
-    Points are independent, so they may be dispatched to a worker pool; results
-    keep the grid order either way.
+    Points are independent, so they may be dispatched to a worker pool of at
+    most ``min(jobs, cpu count, points)`` processes; results keep the grid order
+    either way.
     """
     if cfg.sweep is None:
         raise ConfigError("configuration has no [sweep] section")
     values = sweep_values(cfg.sweep)
     configs = [apply_axis(cfg, cfg.sweep.axis, v) for v in values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_point, configs))
     else:
         outcomes = [_run_point(c) for c in configs]

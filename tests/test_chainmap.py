@@ -101,6 +101,22 @@ class TestStarToChain:
         assert_allclose(np.linalg.eigvalsh(h_chain), np.linalg.eigvalsh(h_star),
                         atol=1e-10)
 
+    def test_degenerate_frequencies_exhaust_krylov_space(self):
+        # two distinct frequencies span a two-dimensional Krylov space
+        eps, hop = star_to_chain(np.array([1.0, 1.0, 2.0, 2.0]), np.full(4, 0.25), depth=4)
+        assert_allclose(eps, [1.5, 1.5], rtol=1e-14)
+        assert_allclose(hop, [1.0, 0.5], rtol=1e-14)
+
+    def test_agrees_with_high_precision_lanczos(self):
+        mpmath = pytest.importorskip("mpmath")
+        freqs, weights = discretize_modes(SpectralFunction.lorentzian(2.0, 0.05, 2.0, 6.0), 200)
+        eps, hop = star_to_chain(freqs, weights, depth=20)
+        eps_mp, hop_mp = _lanczos_mp(mpmath, freqs, weights, 20)
+        assert eps.size == hop.size == 20
+        scale = np.max(hop_mp)  # some on-site energies sit near zero: compare on the chain's scale
+        assert np.max(np.abs(eps - eps_mp)) <= 1e-13 * scale
+        assert np.max(np.abs(hop - hop_mp) / hop_mp) <= 1e-13
+
     def test_orthogonality_guard_trips_on_absurd_tolerance(self):
         freqs = np.linspace(-1, 1, 40)
         weights = np.ones(40)
@@ -110,6 +126,34 @@ class TestStarToChain:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             star_to_chain(np.array([1.0]), np.array([-0.1]), depth=1)
+
+    def test_rejects_empty_depth(self):
+        with pytest.raises(ValueError, match="depth"):
+            star_to_chain(np.array([1.0]), np.array([0.1]), depth=0)
+
+
+def _lanczos_mp(mpmath, freqs, weights, depth, digits=50):
+    """Lanczos with full reorthogonalization (two passes) at ``digits`` digits."""
+    with mpmath.workdps(digits):
+        w = [mpmath.mpf(float(x)) for x in freqs]
+        g0 = mpmath.sqrt(mpmath.fsum(mpmath.mpf(float(x)) for x in weights))
+        basis = [[mpmath.sqrt(mpmath.mpf(float(x))) / g0 for x in weights]]
+        eps, hop = [], [g0]
+        for p in range(depth):
+            v = basis[-1]
+            fv = [a * b for a, b in zip(w, v)]
+            eps.append(mpmath.fdot(fv, v))
+            if p == depth - 1:
+                break
+            r = [a - eps[-1] * b for a, b in zip(fv, v)]
+            for _ in range(2):
+                for u in basis:
+                    c = mpmath.fdot(u, r)
+                    r = [a - c * b for a, b in zip(r, u)]
+            beta = mpmath.sqrt(mpmath.fdot(r, r))
+            hop.append(beta)
+            basis.append([a / beta for a in r])
+        return (np.array([float(x) for x in eps]), np.array([float(x) for x in hop]))
 
 
 class TestDiscretization:

@@ -2,7 +2,10 @@
 
 Header lines and text cells must match exactly; numeric cells to 1e-10
 relative with an absolute floor of 1e-14, so the check survives harmless
-last-digit roundoff but not a change of the numbers or the layout.
+last-digit roundoff but not a change of the numbers or the layout.  Rate
+cells are compared to 1e-10 of the largest rate magnitude in their golden
+row: a rate that cancels to zero (P_chem at equal chemical potentials) is
+roundoff noise on the scale of the report, not a number to match on its own.
 """
 
 from pathlib import Path
@@ -16,6 +19,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 REL_TOL = 1e-10
 ABS_FLOOR = 1e-14
+RATE_COLUMNS = ("P_ext", "P_chem", "Q1", "Q2", "N1", "sigma")
 
 CASES = [
     (["ness", "heat_engine.ini"], "ness_heat_engine.csv"),
@@ -33,10 +37,13 @@ def _number(cell):
         return None
 
 
-def _cells_match(got, want):
+def _cells_match(got, want, scale=None):
+    """Per-cell rule, or 1e-10 of ``scale`` when the cell is a rate."""
     a, b = _number(got), _number(want)
     if a is None or b is None:
         return got == want
+    if scale is not None:
+        return abs(a - b) <= REL_TOL * scale
     return abs(a - b) <= max(REL_TOL * abs(b), ABS_FLOOR)
 
 
@@ -47,11 +54,16 @@ def test_cli_output_matches_golden(argv, golden, capsys):
     got_lines = capsys.readouterr().out.splitlines()
     want_lines = (GOLDEN / golden).read_text().splitlines()
     assert len(got_lines) == len(want_lines)
+    header = want_lines[0].split(",")
+    rates = [col for col, name in enumerate(header) if name in RATE_COLUMNS]
     for n, (got, want) in enumerate(zip(got_lines, want_lines)):
         if n == 0 or got.startswith("#") or want.startswith("#"):
             assert got == want, f"line {n + 1}"
             continue
         got_cells, want_cells = got.split(","), want.split(",")
         assert len(got_cells) == len(want_cells), f"line {n + 1}"
+        rate_scale = max((abs(x) for x in (_number(want_cells[c]) for c in rates)
+                          if x is not None), default=0.0)
         for col, (g, w) in enumerate(zip(got_cells, want_cells)):
-            assert _cells_match(g, w), f"line {n + 1}, column {col + 1}: {g!r} != {w!r}"
+            scale = rate_scale if col in rates else None
+            assert _cells_match(g, w, scale), f"line {n + 1}, column {col + 1}: {g!r} != {w!r}"

@@ -4,7 +4,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from preb import cli
+from preb import cli, sweeps
 from preb.config import ConfigError, parse_config
 from preb.pipeline import run_ness, run_trajectory
 from preb.sweeps import SWEEP_COLUMNS, apply_axis, run_sweep, sweep_to_csv
@@ -172,6 +172,35 @@ class TestSweeps:
         for a, b in zip(serial, parallel):
             assert a.report.csv_row() == b.report.csv_row()
 
+    @pytest.mark.parametrize("jobs, cpus, points, expected", [
+        (10 ** 6, 8, 3, 3),   # never more workers than points
+        (5, 2, 4, 2),         # never more workers than CPUs
+        (3, None, 4, None),   # unknown CPU count: serial
+        (2, 8, 4, 2),         # within every limit: as asked
+    ])
+    def test_jobs_are_clamped(self, tmp_path, monkeypatch, jobs, cpus, points, expected):
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+        cfg = parse_config(self.sweep_ini(tmp_path, points=points))
+        rows = run_sweep(cfg, jobs=jobs)
+        assert len(rows) == points and all(r.error is None for r in rows)
+        assert requested == ([] if expected is None else [expected])
+
 
 class TestCli:
     def test_ness_command(self, engine_ini, tmp_path, capsys):
@@ -206,6 +235,21 @@ class TestCli:
         path.write_text("[process]\nn_modes = 10\n")
         assert cli.main(["ness", str(path)]) == 2
         assert "process.n_modes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ("[process]\ntau = nan\n", "process.tau"),
+        ("[process]\ntau = inf\n", "process.tau"),
+        ("[bath1]\nlambda = nan\n", "bath1.lambda"),
+        ("[bath1]\nkappa = inf\n", "bath1.kappa"),
+        ("[system]\ng = nan\n", "system.g"),
+        ("[bath1]\nbeta = inf\n", "bath1.beta"),
+    ], ids=["tau-nan", "tau-inf", "lambda-nan", "kappa-inf", "g-nan", "beta-inf"])
+    def test_nonfinite_value_exit_code(self, tmp_path, capsys, text, key):
+        path = tmp_path / "nonfinite.ini"
+        path.write_text(text)
+        assert cli.main(["ness", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
 
     def test_trajectory_without_unique_ness(self, tmp_path):
         traj, thermos, report = run_trajectory(parse_config(weak_tabulated_ini(tmp_path)),

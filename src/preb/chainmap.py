@@ -10,14 +10,20 @@ recursion directly on a frequency grid:
 with J^H the principal-value Hilbert transform.  The recursion is exact but
 ill-conditioned at depth, so it serves as the cross-check oracle and
 ``chain_map_tridiag`` is the production path: it discretizes the bath into
-modes with exact cell weights and tridiagonalizes by a Lanczos recurrence with
-full reorthogonalization (Chin, Rivas, Huelga & Plenio, J. Math. Phys. 51,
-092109 (2010)).  The Krylov basis is one array, and each step projects the new
-vector out of the whole basis by block classical Gram-Schmidt applied twice
-(CGS2) as BLAS matrix-vector products; twice is enough to keep it orthogonal
-to working precision (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50,
-1069 (2005)).  Both routes produce identical coefficients in the continuum
-limit.
+modes with exact cell weights and tridiagonalizes by a Lanczos recurrence
+(Chin, Rivas, Huelga & Plenio, J. Math. Phys. 51, 092109 (2010)).  For the
+diagonal mode matrix the plain three-term recurrence is the discrete Stieltjes
+procedure in vector form (Gautschi, Orthogonal Polynomials, OUP 2004, 2.2),
+O(N) per step, and with many modes per site its basis stays orthogonal to
+near roundoff.  A basis whose overlaps stay below sqrt(eps) already gives the
+coefficients of a fully reorthogonalized run to working precision (Simon,
+Math. Comp. 42, 115 (1984)).  So the plain pass is certified afterwards by
+one Gram product of its basis; only from the first row that fails does the
+recurrence resume with block classical Gram-Schmidt applied twice (CGS2), as
+BLAS matrix-vector products against the whole basis, which keeps it
+orthogonal to working precision (Giraud, Langou & Rozloznik, Comput. Math.
+Appl. 50, 1069 (2005)).  Both routes produce identical coefficients in the
+continuum limit.
 
 Normalization note: the total squared coupling of the discretized bath equals
 (1/2pi) int J, i.e. the first hopping g_0 is the physical system-chain
@@ -227,14 +233,16 @@ def star_to_chain(freqs: np.ndarray, couplings_sq: np.ndarray, depth: int, *,
     """Tridiagonalize a star bath (mode frequencies, squared couplings) into a chain.
 
     Three-term Lanczos recurrence on the diagonal mode matrix, started from the
-    normalized coupling vector.  The Krylov basis is kept as the rows of one
-    ``(min(depth, N), N)`` array, so each step reorthogonalizes the new vector
-    against the whole basis by block classical Gram-Schmidt applied twice
-    (CGS2), ``r -= Q.T @ (Q @ r)``, as BLAS matrix-vector products.  After the
-    second pass a leak ``max|Q @ r| > ortho_tol * beta`` raises
-    ``NumericsError``.  Returns (eps, hop) with hop[0] the system-chain
-    coupling; the arrays are shorter than ``depth`` if the Krylov space is
-    exhausted first.
+    normalized coupling vector, with the Krylov basis kept as the rows of one
+    ``(min(depth, N), N)`` array.  The plain recurrence runs first, at O(N)
+    per step, and is then certified by one Gram product ``Q @ Q.T``: every
+    off-diagonal ``|q_i . q_j|`` of the returned basis must be at most
+    ``ortho_tol``.  If row k is the first to leak, the coefficients before it
+    are kept and the recurrence resumes at depth k - 1 with block classical
+    Gram-Schmidt applied twice (CGS2), ``r -= (Q @ r) @ Q``, at every step;
+    a leak that survives the resume raises ``NumericsError``.  Returns
+    (eps, hop) with hop[0] the system-chain coupling; the arrays are shorter
+    than ``depth`` if the Krylov space is exhausted first.
     """
     freqs = np.asarray(freqs, dtype=float)
     couplings_sq = np.asarray(couplings_sq, dtype=float)
@@ -251,30 +259,62 @@ def star_to_chain(freqs: np.ndarray, couplings_sq: np.ndarray, depth: int, *,
     steps = min(depth, freqs.size)
     basis = np.empty((steps, freqs.size))
     basis[0] = np.sqrt(couplings_sq) / g0
-    eps, hop = [], [g0]
-    beta = 0.0
-    for p in range(steps):
+    eps, hop = np.empty(steps), np.empty(steps)
+    hop[0] = g0
+    n = _lanczos(freqs, basis, eps, hop, 0, scale, reorthogonalize=False)
+    k, leak = _first_leak(basis[:n], ortho_tol)
+    if k is not None:
+        log.info("plain Lanczos lost orthogonality at depth %d (leak %.3g): "
+                 "resuming with CGS2", k, leak)
+        n = _lanczos(freqs, basis, eps, hop, k - 1, scale, reorthogonalize=True)
+        k, _ = _first_leak(basis[:n], ortho_tol)
+        if k is not None:
+            raise NumericsError(f"loss of orthogonality at depth {k}")
+    return eps[:n], hop[:n]
+
+
+def _lanczos(freqs: np.ndarray, basis: np.ndarray, eps: np.ndarray, hop: np.ndarray,
+             start: int, scale: float, *, reorthogonalize: bool) -> int:
+    """Run the recurrence from step ``start``, filling basis rows ``start + 1`` on.
+
+    Rows up to ``start`` and the coefficients they produced must already be in
+    place.  Returns the number of rows filled: fewer than ``basis`` holds when
+    the Krylov space is exhausted.
+    """
+    steps = basis.shape[0]
+    for p in range(start, steps):
         w = basis[p]
         fw = freqs * w
         alpha = float(np.dot(fw, w))
-        eps.append(alpha)
+        eps[p] = alpha
         if p == steps - 1:
             break
         r = fw - alpha * w
         if p:
-            r -= beta * basis[p - 1]  # beta is still the previous step's hopping
-        q = basis[:p + 1]
-        for _ in range(2):
-            r -= (q @ r) @ q
-        leaked = float(np.max(np.abs(q @ r)))
+            r -= hop[p] * basis[p - 1]
+        if reorthogonalize:
+            q = basis[:p + 1]
+            for _ in range(2):
+                r -= (q @ r) @ q
         beta = float(np.linalg.norm(r))
         if beta <= 1e-13 * scale:
-            break  # Krylov space exhausted: the chain terminates here
-        if leaked > ortho_tol * beta:
-            raise NumericsError(f"loss of orthogonality at depth {p + 1}")
-        hop.append(beta)
+            return p + 1  # Krylov space exhausted: the chain terminates here
+        hop[p + 1] = beta
         basis[p + 1] = r / beta
-    return np.array(eps), np.array(hop)
+    return steps
+
+
+def _first_leak(basis: np.ndarray, ortho_tol: float) -> tuple[Optional[int], float]:
+    """First row of ``basis`` whose overlap with an earlier row exceeds ``ortho_tol``.
+
+    Returns (row, its largest overlap), or (None, 0.0) if the rows are
+    orthogonal to within ``ortho_tol``.
+    """
+    overlaps = np.abs(np.tril(basis @ basis.T, -1)).max(axis=1)
+    bad = np.flatnonzero(overlaps > ortho_tol)
+    if bad.size == 0:
+        return None, 0.0
+    return int(bad[0]), float(overlaps[bad[0]])
 
 
 def chain_map_tridiag(sf: SpectralFunction, depth: int, *,

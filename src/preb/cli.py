@@ -12,7 +12,7 @@ import dataclasses
 import sys
 
 from .builder import SystemSpec
-from .config import RunConfig, parse_config
+from .config import RunConfig, parse_config, validate_process
 from .dynamics import trajectory_to_csv
 from .errors import ConfigError, NoUniqueNessError, PrebError
 from .negf import transmission_table
@@ -65,12 +65,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
+    """The config file with the command-line overrides, validated like file values."""
     cfg = parse_config(args.config)
     process = cfg.process
     if getattr(args, "l0", None) is not None:
         process = dataclasses.replace(process, l_0=args.l0)
     if getattr(args, "depth", None) is not None:
         process = dataclasses.replace(process, depth=args.depth)
+    validate_process(process)
+    if getattr(args, "steps", 1) < 1:
+        raise ConfigError("--steps must be >= 1")
     return cfg.replace(process=process)
 
 

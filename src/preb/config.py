@@ -98,6 +98,7 @@ _SWEEP_FIELDS = {"axis": str, "min": float, "max": float, "points": int, "spacin
 _SYSTEM_FIELDS = {"g": float}
 
 SWEEP_AXES = ("tau", "lambda", "mu", "beta1")
+POSITIVE_AXES = ("tau", "lambda", "beta1")
 
 
 def _section(parser: configparser.ConfigParser, name: str, fields: dict) -> dict:
@@ -145,7 +146,7 @@ def parse_config(path) -> RunConfig:
     if "l0" in proc_raw:
         proc_raw["l_0"] = proc_raw.pop("l0")
     process = dataclasses.replace(defaults.process, **proc_raw)
-    _validate_process(process)
+    validate_process(process)
 
     sweep = None
     if parser.has_section("sweep"):
@@ -164,7 +165,7 @@ def _as_fields(values: dict) -> dict:
     return {("lam" if k == "lambda" else k): v for k, v in values.items()}
 
 
-def _validate_process(process: ProcessConfig) -> None:
+def validate_process(process: ProcessConfig) -> None:
     if process.tau <= 0:
         raise ConfigError("process.tau must be positive")
     if process.l_0 < 0:
@@ -184,6 +185,10 @@ def _validate_sweep(sweep: SweepConfig) -> None:
         raise ConfigError("sweep.spacing must be 'linear' or 'log'")
     if sweep.spacing == "log" and sweep.minimum <= 0:
         raise ConfigError("log spacing needs a positive sweep.min")
+    if sweep.axis in POSITIVE_AXES and sweep.minimum <= 0:
+        raise ConfigError(f"sweep.min must be positive on the {sweep.axis} axis")
+    if not math.isfinite(sweep.maximum - sweep.minimum):
+        raise ConfigError("sweep.max - sweep.min must be finite")
 
 
 def _validate_run(cfg: RunConfig) -> None:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from preb.spectral import SpectralFunction
 
 NARROW = SpectralFunction.lorentzian(2.0, 0.01, 2.0, 6.0)
 FLAT = SpectralFunction.flat(0.5, 6.0)
+RESUME_LINE = "resuming with CGS2"
 
 
 class TestGoldenLorentzian:
@@ -107,21 +110,34 @@ class TestStarToChain:
         assert_allclose(eps, [1.5, 1.5], rtol=1e-14)
         assert_allclose(hop, [1.0, 0.5], rtol=1e-14)
 
-    def test_agrees_with_high_precision_lanczos(self):
+    def test_agrees_with_high_precision_lanczos(self, caplog):
         mpmath = pytest.importorskip("mpmath")
         freqs, weights = discretize_modes(SpectralFunction.lorentzian(2.0, 0.05, 2.0, 6.0), 200)
-        eps, hop = star_to_chain(freqs, weights, depth=20)
-        eps_mp, hop_mp = _lanczos_mp(mpmath, freqs, weights, 20)
-        assert eps.size == hop.size == 20
-        scale = np.max(hop_mp)  # some on-site energies sit near zero: compare on the chain's scale
-        assert np.max(np.abs(eps - eps_mp)) <= 1e-13 * scale
-        assert np.max(np.abs(hop - hop_mp) / hop_mp) <= 1e-13
+        with caplog.at_level(logging.INFO, logger="preb.chainmap"):
+            eps, hop = star_to_chain(freqs, weights, depth=20)
+        assert RESUME_LINE not in caplog.text  # ten modes per site: the plain pass is certified
+        _assert_matches_oracle(mpmath, freqs, weights, eps, hop, 20)
+
+    def test_resumes_with_cgs2_when_the_plain_pass_leaks(self, caplog):
+        # at depth = N the Krylov space fills up, and the plain recurrence loses orthogonality
+        mpmath = pytest.importorskip("mpmath")
+        freqs = np.linspace(-1, 1, 40)
+        weights = np.ones(40)
+        with caplog.at_level(logging.INFO, logger="preb.chainmap"):
+            eps, hop = star_to_chain(freqs, weights, depth=40)
+        assert RESUME_LINE in caplog.text
+        _assert_matches_oracle(mpmath, freqs, weights, eps, hop, 40)
 
     def test_orthogonality_guard_trips_on_absurd_tolerance(self):
         freqs = np.linspace(-1, 1, 40)
         weights = np.ones(40)
         with pytest.raises(NumericsError, match="orthogonality"):
             star_to_chain(freqs, weights, depth=10, ortho_tol=1e-30)
+
+    def test_guard_names_the_first_leaking_depth(self):
+        # roundoff alone exceeds 1e-30, so even the CGS2 resume leaks at the first new row
+        with pytest.raises(NumericsError, match="loss of orthogonality at depth 1$"):
+            star_to_chain(np.linspace(-1, 1, 40), np.ones(40), depth=10, ortho_tol=1e-30)
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
@@ -130,6 +146,14 @@ class TestStarToChain:
     def test_rejects_empty_depth(self):
         with pytest.raises(ValueError, match="depth"):
             star_to_chain(np.array([1.0]), np.array([0.1]), depth=0)
+
+
+def _assert_matches_oracle(mpmath, freqs, weights, eps, hop, depth):
+    eps_mp, hop_mp = _lanczos_mp(mpmath, freqs, weights, depth)
+    assert eps.size == hop.size == depth
+    scale = np.max(hop_mp)  # some on-site energies sit near zero: compare on the chain's scale
+    assert np.max(np.abs(eps - eps_mp)) <= 1e-13 * scale
+    assert np.max(np.abs(hop - hop_mp) / hop_mp) <= 1e-13
 
 
 def _lanczos_mp(mpmath, freqs, weights, depth, digits=50):

@@ -291,6 +291,31 @@ class TestCli:
         assert t_lines[0] == "omega,T"
         assert len(t_lines) > 100
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ness", "--depth", "0"], "process.depth"),
+        (["ness", "--l0", "-1"], "process.l0"),
+        (["trajectory", "--steps", "0"], "--steps"),
+    ], ids=["depth-0", "l0-negative", "steps-0"])
+    def test_invalid_override_exit_code(self, engine_ini, capsys, argv, message):
+        assert cli.main([argv[0], engine_ini, *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+
+    @pytest.mark.parametrize("axis, lo, hi, message", [
+        ("lambda", -0.1, 0.1, "sweep.min"),
+        ("beta1", -1, 1, "sweep.min"),
+        ("tau", -1, 1, "sweep.min"),
+        ("mu", -1e308, 1e308, "sweep.max - sweep.min"),  # the linear step overflows
+    ], ids=["lambda", "beta1", "tau", "mu-overflow"])
+    def test_sweep_range_crossing_invalid_values_exit_code(self, tmp_path, capsys,
+                                                          axis, lo, hi, message):
+        path = tmp_path / "sweep.ini"
+        path.write_text(f"[sweep]\naxis = {axis}\nmin = {lo}\nmax = {hi}\n"
+                        "points = 3\nspacing = linear\n")
+        assert cli.main(["sweep", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+
     def test_depth_and_l0_overrides(self, engine_ini):
         from preb.pipeline import build_bundle
         args_cfg = cli._load_config(

@@ -17,8 +17,7 @@ from .dynamics import (CumulativeThermo, StepThermo, TrajectoryResult,
                        cumulative_thermo, gaussian_entropy, preb_step,
                        preb_trajectory, step_thermodynamics, trajectory_to_csv)
 from .errors import ConfigError, NoUniqueNessError, NumericsError, PrebError
-from .negf import (LeadSelfEnergy, NegfReport, landauer_currents,
-                   lead_self_energy, transmission_table)
+from .negf import LeadSelfEnergy, NegfReport, landauer_currents, transmission_table
 from .pipeline import (NessBundle, build_bundle, chain_depth,
                        chain_size_convergence, run_chainmap, run_negf, run_ness,
                        run_trajectory)

@@ -105,11 +105,6 @@ class SetupHamiltonian:
     def bath2(self) -> slice:
         return slice(self.l_s + self.l_b, self.n_sites)
 
-    def bath(self, ell: int) -> slice:
-        if ell not in (0, 1):
-            raise ValueError("bath index must be 0 or 1")
-        return self.bath1 if ell == 0 else self.bath2
-
     @functools.cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition of the full matrix, computed once and reused."""

@@ -114,15 +114,14 @@ class ChainCoefficients:
 
     # -- CSV -----------------------------------------------------------------
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, fh) -> None:
         """Rows ``p,eps,hop``: the hop cell of row p holds g_p, the eps cell eps_p."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["p", "eps", "hop"])
-            writer.writerow([0, "", f"{self.hop[0]:.17g}"])
-            for p in range(1, self.depth):
-                writer.writerow([p, f"{self.eps[p - 1]:.17g}", f"{self.hop[p]:.17g}"])
-            writer.writerow([self.depth, f"{self.eps[-1]:.17g}", ""])
+        writer = csv.writer(fh)
+        writer.writerow(["p", "eps", "hop"])
+        writer.writerow([0, "", f"{self.hop[0]:.17g}"])
+        for p in range(1, self.depth):
+            writer.writerow([p, f"{self.eps[p - 1]:.17g}", f"{self.hop[p]:.17g}"])
+        writer.writerow([self.depth, f"{self.eps[-1]:.17g}", ""])
 
     @classmethod
     def from_csv(cls, path) -> "ChainCoefficients":

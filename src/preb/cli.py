@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import sys
 
@@ -15,7 +16,7 @@ from .builder import SystemSpec
 from .config import RunConfig, parse_config, validate_process
 from .dynamics import trajectory_to_csv
 from .errors import ConfigError, NoUniqueNessError, PrebError
-from .negf import transmission_table
+from .negf import negf_to_csv, transmission_table, transmission_to_csv
 from .pipeline import run_chainmap, run_negf, run_ness, run_trajectory
 from .sweeps import report_to_csv, run_sweep, sweep_to_csv
 from .validation import run_validation
@@ -114,37 +115,24 @@ def _cmd_trajectory(args) -> int:
 
 def _cmd_chainmap(args) -> int:
     chains = run_chainmap(_load_config(args))
-    if args.out:
-        for ell, chain in enumerate(chains):
-            chain.to_csv(f"{args.out}.bath{ell + 1}.csv")
-    else:
-        for ell, chain in enumerate(chains):
-            print(f"# bath{ell + 1}")
-            print("p,eps,hop")
-            print(f"0,,{chain.hop[0]:.17g}")
-            for p in range(1, chain.depth):
-                print(f"{p},{chain.eps[p - 1]:.17g},{chain.hop[p]:.17g}")
-            print(f"{chain.depth},{chain.eps[-1]:.17g},")
+    for ell, chain in enumerate(chains):
+        if args.out:
+            with _out_stream(f"{args.out}.bath{ell + 1}.csv") as fh:
+                chain.to_csv(fh)
+        else:
+            csv.writer(sys.stdout).writerow([f"# bath{ell + 1}"])
+            chain.to_csv(sys.stdout)
     return EXIT_OK
 
 
 def _cmd_negf(args) -> int:
     cfg = _load_config(args)
-    rep = run_negf(cfg)
     with _out_stream(args.out) as fh:
-        fh.write("I,J,Q1,Q2,P_chem,sigma," +
-                 ",".join(f"n{i + 1}" for i in range(rep.occupations.size)) + "\n")
-        cells = [rep.current, rep.energy_current, rep.qdot[0], rep.qdot[1],
-                 rep.p_chem, rep.sigma, *rep.occupations]
-        fh.write(",".join(f"{v:.12g}" for v in cells) + "\n")
+        negf_to_csv(fh, run_negf(cfg))
     if args.transmission:
-        system = SystemSpec.two_site(cfg.g)
         leads = (cfg.bath1.spectral_function(), cfg.bath2.spectral_function())
-        w, t = transmission_table(system, leads)
-        with open(args.transmission, "w") as fh:
-            fh.write("omega,T\n")
-            for wi, ti in zip(w, t):
-                fh.write(f"{wi:.12g},{ti:.12g}\n")
+        with _out_stream(args.transmission) as fh:
+            transmission_to_csv(fh, *transmission_table(SystemSpec.two_site(cfg.g), leads))
     return EXIT_OK
 
 

@@ -125,8 +125,8 @@ def step_thermodynamics(c_s: np.ndarray, prop: StepPropagator,
     dh_b, dh_sb, dn, q = [], [], [], []
     for b, spec in zip(bath_slices, specs):
         db = _block_expectation(h, ct, b, b) - _block_expectation(h, c0, b, b)
-        dsb = (_block_expectation(h, ct, s, b) + _block_expectation(h, ct, b, s)
-               - _block_expectation(h, c0, s, b) - _block_expectation(h, c0, b, s))
+        # c0 has no system-bath blocks, so the coupling energy starts at zero
+        dsb = _block_expectation(h, ct, s, b) + _block_expectation(h, ct, b, s)
         dnum = float((np.trace(ct[b, b]) - np.trace(c0[b, b])).real)
         dh_b.append(db)
         dh_sb.append(dsb)

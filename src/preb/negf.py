@@ -17,6 +17,7 @@ with this module at large cycle times.
 
 from __future__ import annotations
 
+import csv
 import logging
 import warnings
 from dataclasses import dataclass
@@ -50,14 +51,21 @@ class LeadSelfEnergy:
         jh = np.interp(omega, self.grid, self.jh_grid)
         return 0.5 * (jh - 1j * j)
 
-    def gamma(self, omega):
-        """Level broadening -2 Im Sigma = J(w)."""
-        return self.sf(omega)
 
-
-def lead_self_energy(sf: SpectralFunction, omega):
-    """One-shot convenience wrapper; build a LeadSelfEnergy for repeated evaluation."""
-    return LeadSelfEnergy(sf)(omega)
+def _resolvent(system: SystemSpec, sigmas: tuple[LeadSelfEnergy, LeadSelfEnergy],
+               w: np.ndarray) -> np.ndarray:
+    """Dressed system resolvent G^r(w) at each frequency of ``w``."""
+    i1, i2 = system.coupling_sites
+    a = w[:, None, None] * np.eye(system.n_sites) - system.h_s[None, :, :].astype(complex)
+    a[:, i1, i1] -= sigmas[0](w)
+    a[:, i2, i2] -= sigmas[1](w)
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        warnings.warn("singular resolvent on the real axis; nudging into the lower half plane")
+        a[:, i1, i1] -= 1e-12j
+        a[:, i2, i2] -= 1e-12j
+        return np.linalg.inv(a)
 
 
 @dataclass(frozen=True)
@@ -126,29 +134,13 @@ def landauer_currents(system: SystemSpec, leads: tuple[SpectralFunction, Spectra
     overlap of the lead supports.
     """
     i1, i2 = system.coupling_sites
-    h_s = system.h_s
-    n = system.n_sites
-    sigma1 = LeadSelfEnergy(leads[0])
-    sigma2 = LeadSelfEnergy(leads[1])
-
-    def resolvent(w: np.ndarray) -> np.ndarray:
-        a = w[:, None, None] * np.eye(n) - h_s[None, :, :].astype(complex)
-        a[:, i1, i1] -= sigma1(w)
-        a[:, i2, i2] -= sigma2(w)
-        try:
-            return np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            warnings.warn("singular resolvent on the real axis; nudging into the lower half plane")
-            a[:, i1, i1] -= 1e-12j
-            a[:, i2, i2] -= 1e-12j
-            return np.linalg.inv(a)
-
+    sigmas = (LeadSelfEnergy(leads[0]), LeadSelfEnergy(leads[1]))
     lo1, hi1 = leads[0].support
     lo2, hi2 = leads[1].support
     lo_t, hi_t = max(lo1, lo2), min(hi1, hi2)
 
     def current_integrand(w: np.ndarray) -> np.ndarray:
-        g = resolvent(w)
+        g = _resolvent(system, sigmas, w)
         t = leads[0](w) * leads[1](w) * np.abs(g[:, i1, i2]) ** 2
         df = fermi_occupation(specs[0], w) - fermi_occupation(specs[1], w)
         base = t * df / (2 * np.pi)
@@ -163,7 +155,7 @@ def landauer_currents(system: SystemSpec, leads: tuple[SpectralFunction, Spectra
     lo_u, hi_u = min(lo1, lo2), max(hi1, hi2)
 
     def occupation_integrand(w: np.ndarray) -> np.ndarray:
-        g = resolvent(w)
+        g = _resolvent(system, sigmas, w)
         fill1 = leads[0](w) * fermi_occupation(specs[0], w)
         fill2 = leads[1](w) * fermi_occupation(specs[1], w)
         occ = (np.abs(g[:, :, i1]) ** 2 * fill1[:, None]
@@ -185,17 +177,32 @@ def landauer_currents(system: SystemSpec, leads: tuple[SpectralFunction, Spectra
 
 def transmission_table(system: SystemSpec, leads: tuple[SpectralFunction, SpectralFunction],
                        points: int = 2001) -> tuple[np.ndarray, np.ndarray]:
-    """T(w) sampled over the overlap of the lead supports, for CSV dumps."""
+    """T(w) sampled over the overlap of the lead supports."""
     i1, i2 = system.coupling_sites
-    n = system.n_sites
-    sigma1 = LeadSelfEnergy(leads[0])
-    sigma2 = LeadSelfEnergy(leads[1])
+    sigmas = (LeadSelfEnergy(leads[0]), LeadSelfEnergy(leads[1]))
     lo = max(leads[0].support[0], leads[1].support[0])
     hi = min(leads[0].support[1], leads[1].support[1])
     w = np.linspace(lo, hi, points)
-    a = w[:, None, None] * np.eye(n) - system.h_s[None, :, :].astype(complex)
-    a[:, i1, i1] -= sigma1(w)
-    a[:, i2, i2] -= sigma2(w)
-    g = np.linalg.inv(a)
+    g = _resolvent(system, sigmas, w)
     t = leads[0](w) * leads[1](w) * np.abs(g[:, i1, i2]) ** 2
     return w, t
+
+
+# -- CSV ---------------------------------------------------------------------
+
+
+def negf_to_csv(fh, report: NegfReport) -> None:
+    """Header ``I,J,Q1,Q2,P_chem,sigma,n1,n2,...`` and the report's one row."""
+    writer = csv.writer(fh)
+    writer.writerow(["I", "J", "Q1", "Q2", "P_chem", "sigma"]
+                    + [f"n{i + 1}" for i in range(report.occupations.size)])
+    writer.writerow([f"{v:.12g}" for v in (report.current, report.energy_current,
+                                           *report.qdot, report.p_chem, report.sigma,
+                                           *report.occupations)])
+
+
+def transmission_to_csv(fh, omega: np.ndarray, t: np.ndarray) -> None:
+    """Rows ``omega,T``, as returned by ``transmission_table``."""
+    writer = csv.writer(fh)
+    writer.writerow(["omega", "T"])
+    writer.writerows([f"{wi:.12g}", f"{ti:.12g}"] for wi, ti in zip(omega, t))

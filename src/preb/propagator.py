@@ -46,9 +46,6 @@ class StepPropagator:
     def g_b2s(self) -> np.ndarray:
         return self.u[self.setup.bath2, self.setup.system]
 
-    def block(self, rows: slice, cols: slice) -> np.ndarray:
-        return self.u[rows, cols]
-
 
 def step_propagator(setup: SetupHamiltonian, tau: float) -> StepPropagator:
     """Exact propagator from the cached eigendecomposition of the set-up matrix."""

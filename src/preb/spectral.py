@@ -52,10 +52,6 @@ class SpectralTable:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", np.maximum(values, 0.0))
 
-    @property
-    def spacing(self) -> float:
-        return float(self.omega[1] - self.omega[0])
-
 
 @dataclass(frozen=True)
 class BathThermalSpec:
@@ -86,7 +82,6 @@ class SpectralFunction:
     lam: float = 0.0
     omega0: float = 0.0
     table: Optional[SpectralTable] = None
-    interpolate: bool = True
 
     def __post_init__(self):
         if self.kind not in (LORENTZIAN, FLAT, TABULATED):
@@ -111,10 +106,10 @@ class SpectralFunction:
         return cls(kind=FLAT, cutoff=cutoff, kappa=height)
 
     @classmethod
-    def tabulated(cls, omega, values, interpolate: bool = True) -> "SpectralFunction":
+    def tabulated(cls, omega, values) -> "SpectralFunction":
         table = SpectralTable(np.asarray(omega), np.asarray(values))
         cutoff = float(max(abs(table.omega[0]), abs(table.omega[-1])))
-        return cls(kind=TABULATED, cutoff=cutoff, table=table, interpolate=interpolate)
+        return cls(kind=TABULATED, cutoff=cutoff, table=table)
 
     # -- evaluation --------------------------------------------------------
 
@@ -134,21 +129,9 @@ class SpectralFunction:
         elif self.kind == FLAT:
             vals = np.full_like(w, self.kappa)
         else:
-            vals = self._table_values(w)
+            vals = np.interp(w, self.table.omega, self.table.values)
         out = np.where(inside, vals, 0.0)
         return float(out) if np.isscalar(omega) or out.ndim == 0 else out
-
-    def _table_values(self, w: np.ndarray) -> np.ndarray:
-        t = self.table
-        if self.interpolate:
-            return np.interp(w, t.omega, t.values)
-        idx = np.rint((w - t.omega[0]) / t.spacing).astype(int)
-        idx = np.clip(idx, 0, t.omega.size - 1)
-        off = np.abs(t.omega[idx] - w)
-        in_range = (w >= t.omega[0]) & (w <= t.omega[-1])
-        if np.any(off[in_range] > 1e-12 * max(1.0, t.spacing)):
-            raise ValueError("off-grid evaluation with interpolation disabled")
-        return t.values[idx]
 
     # -- exact integrals ---------------------------------------------------
 

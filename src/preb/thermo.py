@@ -88,8 +88,9 @@ def ness_rates(c_s_ness: np.ndarray, prop: StepPropagator, p_s: np.ndarray,
                residual_tol: float = 1e-8, stationarity_tol: float = 1e-9) -> NessReport:
     """Per-cycle thermodynamics at the steady state, divided by the cycle time.
 
-    Verifies that the input really is the fixed point and that internal energy
-    and entropy are stationary before reporting rates.
+    Verifies that the input really is the fixed point, that internal energy
+    and entropy are stationary and that the entropy production is not negative
+    before reporting rates.
     """
     tau = prop.tau
     residual = float(np.max(np.abs(preb_step(c_s_ness, prop, p_s) - c_s_ness)))
@@ -103,6 +104,10 @@ def ness_rates(c_s_ness: np.ndarray, prop: StepPropagator, p_s: np.ndarray,
     if abs(st.du) > floor or abs(st.ds) > floor:
         raise NumericsError(
             f"steady state not stationary: dU={st.du:.3e}, dS={st.ds:.3e}, scale={scale:.3e}")
+    # a huge |mu| turns roundoff in dN into heat Q = dH_B - mu dN of either sign
+    if st.sigma < -floor:
+        raise NumericsError(
+            f"negative entropy production per cycle: sigma={st.sigma:.3e}, scale={scale:.3e}")
     report = NessReport(tau=tau, beta1=specs[0].beta, beta2=specs[1].beta,
                         mu=specs[0].mu)
     report.p_ext = st.w_ext / tau

@@ -14,13 +14,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chainmap import chain_map_recursion, chain_map_tridiag
-from .config import BathConfig, ProcessConfig, RunConfig
+from .config import (BathConfig, ProcessConfig, RunConfig, heat_engine_preset,
+                     refrigerator_preset)
 from .dynamics import cumulative_thermo, preb_trajectory, step_thermodynamics
 from .pipeline import build_bundle, run_negf, run_ness
 from .spectral import SpectralFunction
 from .sweeps import apply_axis
 from .thermo import (REGIME_HEAT_ENGINE, carnot_cop, carnot_efficiency,
-                     collisional_limit, curzon_ahlborn_efficiency)
+                     collisional_limit, curzon_ahlborn_efficiency,
+                     tight_coupling_check)
 
 OMEGA01, OMEGA02 = 2.0, -1.0
 KAPPA, CUTOFF = 2.0, 6.0
@@ -35,14 +37,6 @@ def fixed_config(beta1: float, beta2: float, mu: float, lam: float,
         bath2=BathConfig(kappa=KAPPA, lam=lam, omega0=OMEGA02, cutoff=CUTOFF,
                          beta=beta2, mu=mu),
         process=ProcessConfig(tau=tau))
-
-
-def engine_config(lam: float = 0.05, tau: float = 1.0) -> RunConfig:
-    return fixed_config(0.1, 1.0, -2.0, lam, tau)
-
-
-def fridge_config(lam: float = 0.05, tau: float = 1.0) -> RunConfig:
-    return fixed_config(0.7, 1.0, -2.0, lam, tau)
 
 
 @dataclass
@@ -69,7 +63,7 @@ class _Shared:
     def engine_tau_sweep(self):
         if self._engine_sweep is None:
             taus = np.geomspace(0.05, 20.0, 40)
-            reports = [run_ness(apply_axis(engine_config(), "tau", t)) for t in taus]
+            reports = [run_ness(apply_axis(heat_engine_preset(), "tau", t)) for t in taus]
             self._engine_sweep = (taus, reports)
         return self._engine_sweep
 
@@ -95,7 +89,7 @@ def criterion_1(shared: _Shared) -> CriterionResult:
 def criterion_2(shared: _Shared) -> CriterionResult:
     """Conservation laws and Carnot bounds across the (tau, lambda, preset) grid."""
     worst = {"first_law": 0.0, "sigma": 0.0, "number": 0.0, "carnot": 0.0}
-    for preset in (engine_config, fridge_config):
+    for preset in (heat_engine_preset, refrigerator_preset):
         for lam in (0.05, 0.2, 1.0):
             for tau in np.geomspace(0.1, 20.0, 5):
                 rep = run_ness(apply_axis(preset(lam=lam), "tau", tau))
@@ -119,8 +113,8 @@ def criterion_2(shared: _Shared) -> CriterionResult:
 
 def criterion_3(shared: _Shared) -> CriterionResult:
     """Narrow-bath limit reproduces the single-site predictions."""
-    rep_e = run_ness(engine_config(lam=1e-3))
-    rep_f = run_ness(fridge_config(lam=1e-3))
+    rep_e = run_ness(heat_engine_preset(lam=1e-3))
+    rep_f = run_ness(refrigerator_preset(lam=1e-3))
     pred_e = collisional_limit(OMEGA01, OMEGA02, -2.0, 0.1, 1.0)
     pred_f = collisional_limit(OMEGA01, OMEGA02, -2.0, 0.7, 1.0)
     eta_err = abs(rep_e.eta - pred_e.eta0) / pred_e.eta0 if rep_e.eta else np.inf
@@ -128,9 +122,8 @@ def criterion_3(shared: _Shared) -> CriterionResult:
     # tight-coupling defects, relative to the heat rates
     tc = 0.0
     for rep in (rep_e, rep_f):
-        for ell, w0 in enumerate((OMEGA01, OMEGA02)):
-            defect = abs(rep.qdot[ell] - (w0 - (-2.0)) * rep.ndot[ell]) / abs(rep.qdot[ell])
-            tc = max(tc, defect)
+        defects = tight_coupling_check(rep, (OMEGA01, OMEGA02), -2.0)
+        tc = max(tc, *(d / abs(q) for d, q in zip(defects, rep.qdot)))
     ok = eta_err < 0.05 and cop_err < 0.05 and tc < 0.02
     measured = (f"eta {rep_e.eta:.4f} vs {pred_e.eta0} ({eta_err:.2%}), "
                 f"COP {rep_f.cop:.4f} vs {pred_f.cop0:.4f} ({cop_err:.2%}), "
@@ -172,9 +165,9 @@ def criterion_4(shared: _Shared) -> CriterionResult:
 
 def criterion_5(shared: _Shared) -> CriterionResult:
     """Large cycle times converge to the always-coupled steady state."""
-    neg = run_negf(engine_config(lam=1.0))
-    rep20 = run_ness(apply_axis(engine_config(lam=1.0), "tau", 20.0))
-    rep28 = run_ness(apply_axis(engine_config(lam=1.0), "tau", 28.0))
+    neg = run_negf(heat_engine_preset(lam=1.0))
+    rep20 = run_ness(apply_axis(heat_engine_preset(lam=1.0), "tau", 20.0))
+    rep28 = run_ness(apply_axis(heat_engine_preset(lam=1.0), "tau", 28.0))
     negf_err = max(abs(rep20.qdot[ell] - neg.qdot[ell]) / abs(neg.qdot[ell])
                    for ell in range(2))
     cauchy = max(abs(rep20.qdot[ell] - rep28.qdot[ell]) / abs(rep20.qdot[ell])
@@ -185,7 +178,7 @@ def criterion_5(shared: _Shared) -> CriterionResult:
     decay = p_tail / p_max
     # the broad-bath family for reference: its switching power decays only as 1/tau,
     # so at tau = 20 it sits well above the 2% mark of its own peak
-    p_broad_max = max(abs(run_ness(apply_axis(engine_config(lam=1.0), "tau", t)).p_ext)
+    p_broad_max = max(abs(run_ness(apply_axis(heat_engine_preset(lam=1.0), "tau", t)).p_ext)
                       for t in np.geomspace(0.3, 10.0, 12))
     decay_broad = abs(rep20.p_ext) / p_broad_max
     ok = negf_err < 0.05 and cauchy < 0.01 and decay < 0.02
@@ -201,7 +194,7 @@ def criterion_6(shared: _Shared) -> CriterionResult:
     for lam in (0.05, 1.0):
         rs = []
         for tau in np.geomspace(0.01, 0.5, 10):
-            rep = run_ness(apply_axis(engine_config(lam=lam), "tau", tau))
+            rep = run_ness(apply_axis(heat_engine_preset(lam=lam), "tau", tau))
             rs.append(rep.r)
         worst = min(worst, float(np.min(np.diff(rs))))
     return CriterionResult("C06", "slowdown regime: r strictly increasing in tau",
@@ -270,7 +263,7 @@ def criterion_9(shared: _Shared) -> CriterionResult:
 
 def criterion_10(shared: _Shared) -> CriterionResult:
     """Per-step laws along a cold-start trajectory, and its rates at convergence."""
-    cfg = engine_config()
+    cfg = heat_engine_preset()
     bundle = build_bundle(cfg)
     c_ness = bundle.solve_ness()
     c0 = np.zeros_like(c_ness)

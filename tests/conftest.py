@@ -3,9 +3,11 @@ import pytest
 
 from preb.builder import SystemSpec, assemble_hamiltonian, thermal_correlation
 from preb.chainmap import ChainCoefficients
+from preb.config import heat_engine_preset as engine_config
+from preb.config import refrigerator_preset as fridge_config
 from preb.pipeline import build_bundle
 from preb.spectral import BathThermalSpec
-from preb.validation import engine_config, fixed_config, fridge_config
+from preb.validation import fixed_config
 
 __all__ = ["engine_config", "fridge_config", "fixed_config"]
 

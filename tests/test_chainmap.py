@@ -226,7 +226,8 @@ class TestChainCoefficients:
     def test_csv_roundtrip_is_exact(self, tmp_path):
         cc = chain_map_tridiag(NARROW, 12)
         path = tmp_path / "chain.csv"
-        cc.to_csv(path)
+        with open(path, "w", newline="") as fh:
+            cc.to_csv(fh)
         back = ChainCoefficients.from_csv(path)
         assert_allclose(back.eps, cc.eps, rtol=0, atol=0)
         assert_allclose(back.hop, cc.hop, rtol=0, atol=0)

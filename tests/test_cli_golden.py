@@ -1,4 +1,4 @@
-"""CLI output of the shipped configs against recorded goldens.
+"""CLI output of the shipped configs against recorded goldens, and its CSV dialect.
 
 Header lines and text cells must match exactly; numeric cells to 1e-10
 relative with an absolute floor of 1e-14, so the check survives harmless
@@ -27,6 +27,9 @@ CASES = [
     (["ness", "sweep_tau.ini"], "ness_sweep_tau.csv"),
     (["sweep", "sweep_tau.ini"], "sweep_sweep_tau.csv"),
     (["chainmap", "heat_engine.ini"], "chainmap_heat_engine.txt"),
+    (["negf", "heat_engine.ini"], "negf_heat_engine.csv"),
+    (["negf", "refrigerator.ini"], "negf_refrigerator.csv"),
+    (["negf", "sweep_tau.ini"], "negf_sweep_tau.csv"),
 ]
 
 
@@ -67,3 +70,21 @@ def test_cli_output_matches_golden(argv, golden, capsys):
         for col, (g, w) in enumerate(zip(got_cells, want_cells)):
             scale = rate_scale if col in rates else None
             assert _cells_match(g, w, scale), f"line {n + 1}, column {col + 1}: {g!r} != {w!r}"
+
+
+def test_every_table_ends_lines_in_crlf(tmp_path, capsys):
+    """All tables come from csv.writer, and the chainmap files equal its stdout blocks."""
+    engine = str(ROOT / "configs" / "heat_engine.ini")
+    texts = {}
+    for argv in (["ness", engine], ["sweep", str(ROOT / "configs" / "sweep_tau.ini")],
+                 ["trajectory", engine, "--steps", "3"], ["chainmap", engine],
+                 ["negf", engine, "--transmission", str(tmp_path / "T.csv")]):
+        assert cli.main(argv) == 0
+        texts[argv[0]] = capsys.readouterr().out
+    assert cli.main(["chainmap", engine, "--out", str(tmp_path / "chain")]) == 0
+    for name in ("chain.bath1.csv", "chain.bath2.csv", "T.csv"):
+        texts[name] = (tmp_path / name).read_bytes().decode()
+    for name, text in texts.items():
+        assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", ""), name
+    stdout_block = texts["chainmap"].split("# bath2\r\n")[0].removeprefix("# bath1\r\n")
+    assert texts["chain.bath1.csv"] == stdout_block

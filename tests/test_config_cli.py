@@ -251,6 +251,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
 
+    @pytest.mark.parametrize("mu", ["1e308", "1000"])
+    def test_huge_mu_exit_code(self, tmp_path, capsys, mu):
+        """mu times the roundoff in dN swamps the heat: a negative sigma, not a report."""
+        path = tmp_path / "huge_mu.ini"
+        path.write_text(f"[bath1]\nmu = {mu}\n[bath2]\nmu = {mu}\n")
+        assert cli.main(["ness", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "negative entropy production" in captured.err
+
     def test_trajectory_without_unique_ness(self, tmp_path):
         traj, thermos, report = run_trajectory(parse_config(weak_tabulated_ini(tmp_path)),
                                                steps=3)

@@ -4,7 +4,7 @@ import pytest
 from conftest import engine_config
 from preb.builder import SystemSpec, assemble_hamiltonian
 from preb.chainmap import ChainCoefficients, chain_map_tridiag
-from preb.negf import LeadSelfEnergy, landauer_currents, lead_self_energy, transmission_table
+from preb.negf import LeadSelfEnergy, landauer_currents, transmission_table
 from preb.pipeline import run_negf, run_ness
 from preb.propagator import step_propagator
 from preb.spectral import BathThermalSpec, SpectralFunction
@@ -25,13 +25,15 @@ class TestSelfEnergy:
 
     def test_flat_band_broadening_is_half_height(self):
         height = 0.8
-        sig = LeadSelfEnergy(SpectralFunction.flat(height, 4.0))
+        sf = SpectralFunction.flat(height, 4.0)
+        sig = LeadSelfEnergy(sf)
         assert -sig(0.0).imag == pytest.approx(height / 2)
-        assert sig.gamma(0.0) == pytest.approx(height)
+        # the level broadening -2 Im Sigma is J itself
+        assert -2 * sig(0.0).imag == pytest.approx(sf(0.0))
 
     def test_narrow_peak_broadening(self):
         sf = SpectralFunction.lorentzian(2.0, 0.01, 2.0, 6.0)
-        assert -lead_self_energy(sf, 2.0).imag == pytest.approx(2.0 / (2 * 0.01), rel=1e-6)
+        assert -LeadSelfEnergy(sf)(2.0).imag == pytest.approx(2.0 / (2 * 0.01), rel=1e-6)
 
     def test_wide_band_decay_rate_locks_the_normalization(self):
         """An initially filled level on a wide flat band decays as exp(-J t).

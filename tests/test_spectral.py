@@ -48,14 +48,6 @@ class TestEvaluate:
         assert sf(0.5) == pytest.approx(1.0)
         assert sf(2.0) == 0.0
 
-    def test_tabulated_off_grid_without_interpolation(self):
-        sf = SpectralFunction.tabulated([-1.0, 0.0, 1.0], [0.0, 2.0, 0.0],
-                                        interpolate=False)
-        assert sf(0.0) == 2.0
-        assert sf(7.0) == 0.0  # outside the support is fine, not off-grid
-        with pytest.raises(ValueError, match="off-grid"):
-            sf(0.5)
-
     def test_tabulated_requires_uniform_grid(self):
         with pytest.raises(ValueError, match="uniform"):
             SpectralFunction.tabulated([0.0, 0.5, 2.0], [1.0, 1.0, 1.0])

@@ -25,7 +25,7 @@ from .propagator import (StepPropagator, drive_matrix, solve_dlyap_direct,
                          solve_dlyap_doubling, stability_rate, step_propagator)
 from .spectral import (BathThermalSpec, SpectralFunction, SpectralTable,
                        fermi_occupation, frequency_grid, hilbert_transform,
-                       read_spectral_table, write_spectral_table)
+                       read_spectral_table)
 from .sweeps import SweepRow, apply_axis, run_sweep, sweep_to_csv, sweep_values
 from .thermo import (CollisionalPrediction, NessReport, carnot_cop,
                      carnot_efficiency, classify_regime, collisional_limit,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -110,6 +110,11 @@ class SetupHamiltonian:
         """Eigendecomposition of the full matrix, computed once and reused."""
         return np.linalg.eigh(self.h)
 
+    @functools.cached_property
+    def chain_eigensystems(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Eigendecomposition of each chain block, computed once and reused."""
+        return tuple(np.linalg.eigh(self.h[b, b]) for b in (self.bath1, self.bath2))
+
 
 def chain_length_for_tau(g_b: float, tau: float, l_0: int) -> int:
     """Chain sites needed for one cycle: ceil(g_B tau) + L_0."""
@@ -145,17 +150,23 @@ def assemble_hamiltonian(system: SystemSpec,
     return SetupHamiltonian(h=h, l_s=l_s, l_b=l_b, coupling_sites=system.coupling_sites)
 
 
-def thermal_correlation(h_b: np.ndarray, spec: BathThermalSpec) -> np.ndarray:
+def thermal_correlation(h_b: np.ndarray, spec: BathThermalSpec, *,
+                        eigensystem: Optional[tuple[np.ndarray, np.ndarray]] = None
+                        ) -> np.ndarray:
     """Correlation matrix <b_p^dag b_q> of the chain's thermal state.
 
     Diagonalize the (real symmetric) chain block and occupy each eigenmode with
     its Fermi factor; the result is Hermitian, commutes with the block, and has
-    eigenvalues exactly {f(e_k)}.
+    eigenvalues exactly {f(e_k)}.  Given the block's ``eigensystem`` (as
+    ``SetupHamiltonian.chain_eigensystems`` caches it), only the Fermi factors
+    are computed.
     """
-    h_b = np.asarray(h_b, dtype=float)
-    if np.max(np.abs(h_b - h_b.T)) > SYMMETRY_TOL:
-        raise ValueError("chain block must be symmetric")
-    energies, modes = np.linalg.eigh(h_b)
+    if eigensystem is None:
+        h_b = np.asarray(h_b, dtype=float)
+        if np.max(np.abs(h_b - h_b.T)) > SYMMETRY_TOL:
+            raise ValueError("chain block must be symmetric")
+        eigensystem = np.linalg.eigh(h_b)
+    energies, modes = eigensystem
     return (modes * fermi_occupation(spec, energies)) @ modes.T
 
 

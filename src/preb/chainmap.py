@@ -123,27 +123,6 @@ class ChainCoefficients:
             writer.writerow([p, f"{self.eps[p - 1]:.17g}", f"{self.hop[p]:.17g}"])
         writer.writerow([self.depth, f"{self.eps[-1]:.17g}", ""])
 
-    @classmethod
-    def from_csv(cls, path) -> "ChainCoefficients":
-        eps, hop = {}, {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if [c.strip() for c in header] != ["p", "eps", "hop"]:
-                raise ValueError(f"expected header 'p,eps,hop', got {header!r}")
-            for row in reader:
-                if not row:
-                    continue
-                p = int(row[0])
-                if row[1].strip():
-                    eps[p] = float(row[1])
-                if len(row) > 2 and row[2].strip():
-                    hop[p] = float(row[2])
-        depth = max(eps)
-        eps_arr = np.array([eps[p] for p in range(1, depth + 1)])
-        hop_arr = np.array([hop[p] for p in range(0, depth)])
-        return cls(eps=eps_arr, hop=hop_arr)
-
 
 # -- moment recursion ---------------------------------------------------------
 

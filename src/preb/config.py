@@ -99,6 +99,9 @@ _SYSTEM_FIELDS = {"g": float}
 
 SWEEP_AXES = ("tau", "lambda", "mu", "beta1")
 POSITIVE_AXES = ("tau", "lambda", "beta1")
+# every point's row is held until the sweep ends; beyond this a typo asks for
+# hours of work, and at 10**12 for a grid that cannot be allocated
+MAX_SWEEP_POINTS = 10_000
 
 
 def _section(parser: configparser.ConfigParser, name: str, fields: dict) -> dict:
@@ -179,8 +182,8 @@ def _validate_sweep(sweep: SweepConfig) -> None:
         raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}")
     if not sweep.minimum < sweep.maximum:
         raise ConfigError("sweep.min must be < sweep.max")
-    if sweep.points < 2:
-        raise ConfigError("sweep.points must be >= 2")
+    if not 2 <= sweep.points <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep.points must be between 2 and {MAX_SWEEP_POINTS}")
     if sweep.spacing not in ("linear", "log"):
         raise ConfigError("sweep.spacing must be 'linear' or 'log'")
     if sweep.spacing == "log" and sweep.minimum <= 0:

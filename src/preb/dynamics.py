@@ -95,8 +95,25 @@ class StepThermo:
         return abs(self.du - (self.w - self.q[0] - self.q[1]))
 
 
-def _block_expectation(h: np.ndarray, c: np.ndarray, rows: slice, cols: slice) -> float:
-    return float(np.sum(h[rows, cols] * c[rows, cols]).real)
+def _expectation(h_block: np.ndarray, c_block: np.ndarray) -> float:
+    return float(np.sum(h_block * c_block).real)
+
+
+def _times(c: np.ndarray, u_rows: np.ndarray) -> np.ndarray:
+    """c @ u_rows; a real c times a complex slab is one real product on its float view."""
+    if np.iscomplexobj(c) or not np.iscomplexobj(u_rows):
+        return c @ u_rows
+    return (c @ np.ascontiguousarray(u_rows).view(float)).view(complex)
+
+
+def _column_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum_k conj(a[k, i]) b[k, i] for every column i of two complex arrays.
+
+    Real and imaginary parts sit in adjacent float columns, so one real
+    contraction covers both and no conjugated copy is made.
+    """
+    pairs = np.einsum("ki,ki->i", a.view(float), b.view(float))
+    return pairs[0::2] + pairs[1::2]
 
 
 def step_thermodynamics(c_s: np.ndarray, prop: StepPropagator,
@@ -104,38 +121,48 @@ def step_thermodynamics(c_s: np.ndarray, prop: StepPropagator,
                         specs: Sequence[BathThermalSpec]) -> StepThermo:
     """Evolve system (+ freshly thermal chains) through one cycle and do the accounting.
 
-    The initial state is the block-diagonal correlation matrix of the system
+    The initial state c0 is the block-diagonal correlation matrix of the system
     with the two thermal chains (no cross correlations).  External work is the
     negative change of the coupling energy, chemical work tracks the bath
     particle changes, and heat is the bath energy change less the chemical part.
+
+    The evolved state is ct = U^dag c0 U, but only the entries the accounting
+    reads are formed: ct[S,S], the diagonal and first superdiagonal of each
+    chain block (its Hamiltonian block is tridiagonal) and the one entry
+    ct[site_l, head_l] that couples each chain to the system.  Each is a column
+    overlap of U with W = c0 U, and W is built one row block of c0 at a time,
+    in real arithmetic for the real chain blocks.
     """
     setup = prop.setup
-    h = setup.h
+    h, u = setup.h, prop.u
     s = setup.system
     bath_slices = (setup.bath1, setup.bath2)
-    n = setup.n_sites
-    c0 = np.zeros((n, n), dtype=complex)
-    c0[s, s] = c_s
-    for b, cb in zip(bath_slices, c_baths):
-        c0[b, b] = cb
-    u = prop.u
-    ct = u.conj().T @ c0 @ u
+    c_s = np.asarray(c_s)
+    w = np.empty(u.shape, dtype=complex)
+    for rows, c in zip((s,) + bath_slices, (c_s,) + tuple(c_baths)):
+        w[rows] = _times(c, u[rows])
 
-    du = _block_expectation(h, ct, s, s) - _block_expectation(h, c0, s, s)
+    ct_s = u[:, s].conj().T @ w[:, s]
+    du = _expectation(h[s, s], ct_s) - _expectation(h[s, s], c_s)
+    occ_all = _column_overlaps(u, w)                    # ct[i, i]
+    hop_all = _column_overlaps(u[:, :-1], w[:, 1:])     # Re ct[i, i + 1]
     dh_b, dh_sb, dn, q = [], [], [], []
-    for b, spec in zip(bath_slices, specs):
-        db = _block_expectation(h, ct, b, b) - _block_expectation(h, c0, b, b)
+    for b, c_b, spec, site in zip(bath_slices, c_baths, specs, setup.coupling_sites):
+        occ, hop = occ_all[b], hop_all[b.start:b.stop - 1]
+        h_b = h[b, b]
+        db = (float(np.diagonal(h_b) @ occ + 2.0 * (np.diagonal(h_b, 1) @ hop))
+              - _expectation(h_b, c_b))
         # c0 has no system-bath blocks, so the coupling energy starts at zero
-        dsb = _block_expectation(h, ct, s, b) + _block_expectation(h, ct, b, s)
-        dnum = float((np.trace(ct[b, b]) - np.trace(c0[b, b])).real)
+        dsb = 2.0 * h[site, b.start] * float(np.vdot(u[:, site], w[:, b.start]).real)
+        dnum = float(np.sum(occ) - np.trace(c_b).real)
         dh_b.append(db)
         dh_sb.append(dsb)
         dn.append(dnum)
         q.append(db - spec.mu * dnum)
-    dn_s = float((np.trace(ct[s, s]) - np.trace(c0[s, s])).real)
+    dn_s = float((np.trace(ct_s) - np.trace(c_s)).real)
     w_ext = -(dh_sb[0] + dh_sb[1])
     w_chem = -(specs[0].mu * dn[0] + specs[1].mu * dn[1])
-    ds = gaussian_entropy(c0[s, s]) - gaussian_entropy(ct[s, s])
+    ds = gaussian_entropy(c_s) - gaussian_entropy(ct_s)
     sigma = specs[0].beta * q[0] + specs[1].beta * q[1] - ds
     return StepThermo(du=du, w_ext=w_ext, w_chem=w_chem, q=(q[0], q[1]), ds=ds,
                       sigma=sigma, dn=(dn[0], dn[1]), dn_s=dn_s,

@@ -1,8 +1,16 @@
 """End-to-end runs: config -> chains -> set-up -> propagator -> steady state -> report.
 
-The pipeline is deterministic for a fixed configuration; chain maps are cached
-per (spectral function, depth, discretization size) within the process so
-parameter sweeps that share a bath do not recompute them.
+The pipeline is deterministic for a fixed configuration, and it keeps two
+process-wide caches, both emptied by ``clear_caches()``:
+
+- chain maps, per (spectral function, depth, discretization size), so sweeps
+  that share a bath do not recompute them;
+- one set-up: its chains, Hamiltonian with eigensystem, chain eigensystems,
+  propagator and stability, keyed by (both spectral functions, discretization
+  size, chain length, g, tau).  None of these depends on the temperatures or
+  chemical potentials, so a point that differs only in mu or beta refills the
+  Fermi factors and solves the Lyapunov equation, nothing more.  The entry's
+  arrays are read-only, since later points share them.
 """
 
 from __future__ import annotations
@@ -28,10 +36,12 @@ from .thermo import NessReport, classify_regime, ness_rates
 PROBE_DEPTH = 16
 
 _CHAIN_CACHE: dict = {}
+_SETUP_CACHE: dict = {}  # at most one entry: a tau = 500 propagator alone is 145 MB
 
 
 def clear_caches() -> None:
     _CHAIN_CACHE.clear()
+    _SETUP_CACHE.clear()
 
 
 def _chain_for(sf: SpectralFunction, depth: int,
@@ -99,22 +109,52 @@ def chain_depth(cfg: RunConfig) -> int:
     return chain_length_for_tau(g_b, cfg.process.tau, cfg.process.l_0)
 
 
-def build_bundle(cfg: RunConfig, l_b: Optional[int] = None) -> NessBundle:
-    l_b = l_b if l_b is not None else chain_depth(cfg)
+@dataclass(frozen=True)
+class _SetUp:
+    """The part of a bundle that neither temperatures nor chemical potentials change."""
+
+    system: SystemSpec
+    chains: tuple[ChainCoefficients, ChainCoefficients]
+    setup: SetupHamiltonian
+    prop: StepPropagator
+    spectral_radius: float
+    rate: float
+
+
+def _set_up(cfg: RunConfig, l_b: int) -> _SetUp:
     sfs = (cfg.bath1.spectral_function(), cfg.bath2.spectral_function())
+    key = (*sfs, cfg.process.n_modes, l_b, cfg.g, cfg.process.tau)
+    entry = _SETUP_CACHE.get(key)
+    if entry is not None:
+        return entry
+    _SETUP_CACHE.clear()  # release the old entry before building the new one
     chains = tuple(_chain_for(sf, l_b, cfg.process) for sf in sfs)
-    specs = (BathThermalSpec(cfg.bath1.beta, cfg.bath1.mu),
-             BathThermalSpec(cfg.bath2.beta, cfg.bath2.mu))
     system = SystemSpec.two_site(cfg.g)
     setup = assemble_hamiltonian(system, chains, l_b)
     prop = step_propagator(setup, cfg.process.tau)
-    c_baths = tuple(thermal_correlation(setup.h[b, b], spec)
-                    for b, spec in zip((setup.bath1, setup.bath2), specs))
-    p_s = drive_matrix(prop, *c_baths)
     radius, rate = stability_rate(prop.g_s, cfg.process.tau)
-    return NessBundle(cfg=cfg, system=system, chains=chains, l_b=l_b, setup=setup,
-                      prop=prop, specs=specs, c_baths=c_baths, p_s=p_s,
-                      spectral_radius=radius, rate=rate)
+    (e1, v1), (e2, v2) = setup.chain_eigensystems
+    for array in (setup.h, *setup.eigensystem, e1, v1, e2, v2, prop.u):
+        array.setflags(write=False)
+    entry = _SETUP_CACHE[key] = _SetUp(system=system, chains=chains, setup=setup,
+                                       prop=prop, spectral_radius=radius, rate=rate)
+    return entry
+
+
+def build_bundle(cfg: RunConfig, l_b: Optional[int] = None) -> NessBundle:
+    """Every intermediate of one point; the set-up part comes from the set-up cache."""
+    l_b = l_b if l_b is not None else chain_depth(cfg)
+    fixed = _set_up(cfg, l_b)
+    setup = fixed.setup
+    specs = (BathThermalSpec(cfg.bath1.beta, cfg.bath1.mu),
+             BathThermalSpec(cfg.bath2.beta, cfg.bath2.mu))
+    c_baths = tuple(thermal_correlation(setup.h[b, b], spec, eigensystem=es)
+                    for b, spec, es in zip((setup.bath1, setup.bath2), specs,
+                                           setup.chain_eigensystems))
+    p_s = drive_matrix(fixed.prop, *c_baths)
+    return NessBundle(cfg=cfg, system=fixed.system, chains=fixed.chains, l_b=l_b,
+                      setup=setup, prop=fixed.prop, specs=specs, c_baths=c_baths,
+                      p_s=p_s, spectral_radius=fixed.spectral_radius, rate=fixed.rate)
 
 
 def run_ness(cfg: RunConfig) -> NessReport:

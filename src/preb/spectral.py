@@ -252,15 +252,6 @@ def hilbert_transform(omega: np.ndarray, values: np.ndarray) -> np.ndarray:
 # -- CSV ---------------------------------------------------------------------
 
 
-def write_spectral_table(path, omega, values) -> None:
-    """Dump samples as ``omega,J`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "J"])
-        for w, j in zip(np.asarray(omega, dtype=float), np.asarray(values, dtype=float)):
-            writer.writerow([f"{w:.12g}", f"{j:.12g}"])
-
-
 def read_spectral_table(path) -> SpectralFunction:
     """Read an ``omega,J`` file back as a tabulated spectral function."""
     omega, values = [], []

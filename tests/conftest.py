@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,33 @@ from preb.spectral import BathThermalSpec
 from preb.validation import fixed_config
 
 __all__ = ["engine_config", "fridge_config", "fixed_config"]
+
+
+def chain_from_csv(path) -> ChainCoefficients:
+    """Read back a ``p,eps,hop`` file written by ``ChainCoefficients.to_csv``."""
+    eps, hop = {}, {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        assert header == ["p", "eps", "hop"], header
+        for row in reader:
+            p = int(row[0])
+            if row[1]:
+                eps[p] = float(row[1])
+            if row[2]:
+                hop[p] = float(row[2])
+    depth = max(eps)
+    return ChainCoefficients(eps=np.array([eps[p] for p in range(1, depth + 1)]),
+                             hop=np.array([hop[p] for p in range(depth)]))
+
+
+def write_spectral_table(path, omega, values) -> None:
+    """Write ``omega,J`` rows, the table format of a ``kind = tabulated`` bath."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["omega", "J"])
+        for w, j in zip(np.asarray(omega, dtype=float), np.asarray(values, dtype=float)):
+            writer.writerow([f"{w:.12g}", f"{j:.12g}"])
 
 
 @pytest.fixture(scope="session")

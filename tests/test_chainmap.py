@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import chain_from_csv
 from preb.chainmap import (ChainCoefficients, chain_map_recursion,
                            chain_map_tridiag, discretize_modes, star_to_chain)
 from preb.errors import NumericsError
@@ -228,7 +229,7 @@ class TestChainCoefficients:
         path = tmp_path / "chain.csv"
         with open(path, "w", newline="") as fh:
             cc.to_csv(fh)
-        back = ChainCoefficients.from_csv(path)
+        back = chain_from_csv(path)
         assert_allclose(back.eps, cc.eps, rtol=0, atol=0)
         assert_allclose(back.hop, cc.hop, rtol=0, atol=0)
 

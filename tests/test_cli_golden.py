@@ -54,7 +54,21 @@ def _cells_match(got, want, scale=None):
 def test_cli_output_matches_golden(argv, golden, capsys):
     command, config = argv
     assert cli.main([command, str(ROOT / "configs" / config)]) == 0
-    got_lines = capsys.readouterr().out.splitlines()
+    _assert_matches_golden(capsys.readouterr().out, golden)
+
+
+def test_mu_sweep_matches_golden(tmp_path, capsys):
+    """A mu axis: every point after the first reuses the first point's set-up."""
+    path = tmp_path / "sweep_mu.ini"
+    path.write_text((ROOT / "configs" / "heat_engine.ini").read_text()
+                    + "\n[sweep]\naxis = mu\nmin = -3.0\nmax = 1.0\npoints = 9\n"
+                      "spacing = linear\n")
+    assert cli.main(["sweep", str(path)]) == 0
+    _assert_matches_golden(capsys.readouterr().out, "sweep_mu_heat_engine.csv")
+
+
+def _assert_matches_golden(out, golden):
+    got_lines = out.splitlines()
     want_lines = (GOLDEN / golden).read_text().splitlines()
     assert len(got_lines) == len(want_lines)
     header = want_lines[0].split(",")

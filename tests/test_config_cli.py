@@ -4,6 +4,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from conftest import chain_from_csv
 from preb import cli, sweeps
 from preb.config import ConfigError, parse_config
 from preb.pipeline import run_ness, run_trajectory
@@ -284,8 +285,7 @@ class TestCli:
         base = tmp_path / "chain"
         assert cli.main(["chainmap", engine_ini, "--depth", "6",
                          "--out", str(base)]) == 0
-        from preb.chainmap import ChainCoefficients
-        cc = ChainCoefficients.from_csv(f"{base}.bath1.csv")
+        cc = chain_from_csv(f"{base}.bath1.csv")
         assert cc.depth == 6
         assert cc.hop[0] == pytest.approx(1.0, abs=0.03)
 
@@ -311,17 +311,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
 
-    @pytest.mark.parametrize("axis, lo, hi, message", [
-        ("lambda", -0.1, 0.1, "sweep.min"),
-        ("beta1", -1, 1, "sweep.min"),
-        ("tau", -1, 1, "sweep.min"),
-        ("mu", -1e308, 1e308, "sweep.max - sweep.min"),  # the linear step overflows
-    ], ids=["lambda", "beta1", "tau", "mu-overflow"])
+    @pytest.mark.parametrize("axis, lo, hi, points, message", [
+        ("lambda", -0.1, 0.1, 3, "sweep.min"),
+        ("beta1", -1, 1, 3, "sweep.min"),
+        ("tau", -1, 1, 3, "sweep.min"),
+        ("mu", -1e308, 1e308, 3, "sweep.max - sweep.min"),  # the linear step overflows
+        ("mu", -1, 1, 10_001, "sweep.points"),  # one above the bound
+    ], ids=["lambda", "beta1", "tau", "mu-overflow", "points-too-many"])
     def test_sweep_range_crossing_invalid_values_exit_code(self, tmp_path, capsys,
-                                                          axis, lo, hi, message):
+                                                          axis, lo, hi, points, message):
         path = tmp_path / "sweep.ini"
         path.write_text(f"[sweep]\naxis = {axis}\nmin = {lo}\nmax = {hi}\n"
-                        "points = 3\nspacing = linear\n")
+                        f"points = {points}\nspacing = linear\n")
         assert cli.main(["sweep", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err

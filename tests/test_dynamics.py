@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import decoupled_bundle_pieces, engine_config
-from preb.dynamics import (TRAJECTORY_COLUMNS, cumulative_thermo, gaussian_entropy,
-                           preb_step, preb_trajectory, step_thermodynamics,
-                           trajectory_to_csv)
+from preb.dynamics import (TRAJECTORY_COLUMNS, StepThermo, cumulative_thermo,
+                           gaussian_entropy, preb_step, preb_trajectory,
+                           step_thermodynamics, trajectory_to_csv)
 from preb.pipeline import build_bundle, run_negf
 from preb.propagator import step_propagator
 from preb.thermo import ness_rates
@@ -120,7 +121,69 @@ class TestTrajectory:
         assert np.max(np.abs(occ - negf) / negf) < 0.02
 
 
+def dense_step_thermodynamics(c_s, prop, c_baths, specs) -> StepThermo:
+    """The accounting on the full evolved state ct = U^dag c0 U: the reference."""
+    setup = prop.setup
+    h, s = setup.h, setup.system
+    bath_slices = (setup.bath1, setup.bath2)
+    n = setup.n_sites
+    c0 = np.zeros((n, n), dtype=complex)
+    c0[s, s] = c_s
+    for b, cb in zip(bath_slices, c_baths):
+        c0[b, b] = cb
+    ct = prop.u.conj().T @ c0 @ prop.u
+
+    def energy(c, rows, cols):
+        return float(np.sum(h[rows, cols] * c[rows, cols]).real)
+
+    du = energy(ct, s, s) - energy(c0, s, s)
+    dh_b, dh_sb, dn, q = [], [], [], []
+    for b, spec in zip(bath_slices, specs):
+        db = energy(ct, b, b) - energy(c0, b, b)
+        dnum = float((np.trace(ct[b, b]) - np.trace(c0[b, b])).real)
+        dh_b.append(db)
+        dh_sb.append(energy(ct, s, b) + energy(ct, b, s))
+        dn.append(dnum)
+        q.append(db - spec.mu * dnum)
+    ds = gaussian_entropy(c0[s, s]) - gaussian_entropy(ct[s, s])
+    return StepThermo(du=du, w_ext=-(dh_sb[0] + dh_sb[1]),
+                      w_chem=-(specs[0].mu * dn[0] + specs[1].mu * dn[1]),
+                      q=(q[0], q[1]), ds=ds,
+                      sigma=specs[0].beta * q[0] + specs[1].beta * q[1] - ds,
+                      dn=(dn[0], dn[1]),
+                      dn_s=float((np.trace(ct[s, s]) - np.trace(c0[s, s])).real),
+                      dh_b=(dh_b[0], dh_b[1]), dh_sb=(dh_sb[0], dh_sb[1]))
+
+
+def _fields(st: StepThermo) -> dict:
+    out = {}
+    for field in dataclasses.fields(st):
+        value = getattr(st, field.name)
+        for i, x in enumerate(value if isinstance(value, tuple) else (value,)):
+            out[f"{field.name}[{i}]"] = x
+    return out
+
+
 class TestStepThermodynamics:
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
+    def test_matches_dense_accounting(self, tau):
+        """Every field equals the dense ct = U^dag c0 U reference to 1e-12.
+
+        Relative to the largest field of the step: single fields such as
+        Q = dH_B - mu dN cancel far below the step's scale, and there the
+        reference itself carries that scale's roundoff.
+        """
+        bundle = build_bundle(engine_config(tau=tau))
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            c = random_system_state(rng)
+            got = _fields(step_thermodynamics(c, bundle.prop, bundle.c_baths, bundle.specs))
+            want = _fields(dense_step_thermodynamics(c, bundle.prop, bundle.c_baths,
+                                                     bundle.specs))
+            scale = max(abs(x) for x in want.values())
+            for name, x in want.items():
+                assert abs(got[name] - x) <= 1e-12 * scale, name
+
     def test_first_law_and_closures_on_random_states(self, engine_bundle):
         rng = np.random.default_rng(9)
         for _ in range(4):

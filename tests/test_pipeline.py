@@ -4,7 +4,8 @@ import pytest
 
 from conftest import engine_config
 from preb.pipeline import (build_bundle, chain_depth, chain_size_convergence,
-                           run_ness, run_trajectory)
+                           clear_caches, run_ness, run_trajectory)
+from preb.sweeps import apply_axis
 
 
 class TestSizing:
@@ -45,3 +46,47 @@ class TestTrajectoryRun:
         rep1 = run_ness(engine_config())
         rep2 = run_ness(engine_config())
         assert rep1.csv_row() == rep2.csv_row()
+
+
+def _with_process(cfg, **changes):
+    return cfg.replace(process=dataclasses.replace(cfg.process, **changes))
+
+
+class TestSetUpCache:
+    @pytest.mark.parametrize("axis, value", [("mu", -1.5), ("beta1", 0.3)])
+    def test_mu_and_beta1_points_share_the_set_up(self, axis, value):
+        base = build_bundle(engine_config())
+        other = build_bundle(apply_axis(engine_config(), axis, value))
+        assert other.prop is base.prop and other.setup is base.setup
+        assert other.specs != base.specs
+
+    def test_hit_reports_equal_cold_reports(self):
+        cfg = apply_axis(engine_config(), "mu", -1.7)
+        build_bundle(engine_config())  # a neighbouring point fills the entry
+        warm = build_bundle(cfg).report()
+        clear_caches()
+        cold = build_bundle(cfg).report()
+        for field in dataclasses.fields(cold):
+            assert getattr(warm, field.name) == getattr(cold, field.name), field.name
+
+    @pytest.mark.parametrize("change", [
+        lambda cfg: apply_axis(cfg, "tau", 1.1),
+        lambda cfg: apply_axis(cfg, "lambda", 0.06),
+        lambda cfg: _with_process(cfg, depth=10),
+        lambda cfg: _with_process(cfg, n_modes=1000),
+        lambda cfg: cfg.replace(g=1.1),
+    ], ids=["tau", "lambda", "depth", "n_modes", "g"])
+    def test_set_up_inputs_miss_the_cache(self, change):
+        base_cfg = _with_process(engine_config(), depth=9)  # tau alone keeps l_b
+        base = build_bundle(base_cfg)
+        other = build_bundle(change(base_cfg))
+        assert other.prop is not base.prop and other.setup is not base.setup
+
+    def test_cached_arrays_are_read_only(self):
+        bundle = build_bundle(engine_config())
+        setup = bundle.setup
+        arrays = [setup.h, bundle.prop.u, bundle.prop.g_s, *setup.eigensystem,
+                  *(a for es in setup.chain_eigensystems for a in es)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.0

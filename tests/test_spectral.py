@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import write_spectral_table
 from preb.spectral import (BathThermalSpec, SpectralFunction, fermi_occupation,
-                           frequency_grid, hilbert_transform,
-                           read_spectral_table, write_spectral_table)
+                           frequency_grid, hilbert_transform, read_spectral_table)
 
 
 def lorentzian_hilbert_exact(w, kappa, lam, w0, cut):

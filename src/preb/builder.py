@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,23 +150,19 @@ def assemble_hamiltonian(system: SystemSpec,
     return SetupHamiltonian(h=h, l_s=l_s, l_b=l_b, coupling_sites=system.coupling_sites)
 
 
-def thermal_correlation(h_b: np.ndarray, spec: BathThermalSpec, *,
-                        eigensystem: Optional[tuple[np.ndarray, np.ndarray]] = None
-                        ) -> np.ndarray:
+def thermal_correlation(h_b: np.ndarray, spec: BathThermalSpec) -> np.ndarray:
     """Correlation matrix <b_p^dag b_q> of the chain's thermal state.
 
     Diagonalize the (real symmetric) chain block and occupy each eigenmode with
     its Fermi factor; the result is Hermitian, commutes with the block, and has
-    eigenvalues exactly {f(e_k)}.  Given the block's ``eigensystem`` (as
-    ``SetupHamiltonian.chain_eigensystems`` caches it), only the Fermi factors
-    are computed.
+    eigenvalues exactly {f(e_k)}.  The pipeline never forms this dense matrix:
+    it keeps the Fermi factors (``NessBundle.occupations``) and applies them to
+    the set-up's cycle operators.
     """
-    if eigensystem is None:
-        h_b = np.asarray(h_b, dtype=float)
-        if np.max(np.abs(h_b - h_b.T)) > SYMMETRY_TOL:
-            raise ValueError("chain block must be symmetric")
-        eigensystem = np.linalg.eigh(h_b)
-    energies, modes = eigensystem
+    h_b = np.asarray(h_b, dtype=float)
+    if np.max(np.abs(h_b - h_b.T)) > SYMMETRY_TOL:
+        raise ValueError("chain block must be symmetric")
+    energies, modes = np.linalg.eigh(h_b)
     return (modes * fermi_occupation(spec, energies)) @ modes.T
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: ness / sweep / trajectory / chainmap / negf / validate.
 
 Exit codes: 0 success, 2 configuration error, 3 no unique steady state,
-4 numerical failure, 5 validation failure.
+4 numerical failure or any other error, 5 validation failure.  An error
+prints one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -171,6 +172,10 @@ def main(argv=None) -> int:
         return EXIT_NO_NESS
     except PrebError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICS
+    except Exception as exc:  # a bug or an unforeseen input: one line, not a traceback
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
         return EXIT_NUMERICS
 
 

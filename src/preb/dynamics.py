@@ -5,6 +5,11 @@ C(t) = exp(iHt) C(0) exp(-iHt), and every quadratic expectation is
 <H_X> = sum_pq H_X[p,q] C[p,q] with H real symmetric.  The per-step entropy
 change is recorded as dS = S_before - S_after, so the per-step entropy
 production reads Sigma = sum_l beta_l Q_l - dS and is non-negative.
+
+The chains enter each cycle thermal, described by the Fermi factors of their
+eigenmodes; the per-step accounting applies those and the system state to the
+set-up's ``CycleOperators``, so a step costs O(l_b) and never forms the
+evolved state of the whole set-up.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .propagator import StepPropagator
+from .propagator import StepPropagator, drive_matrix
 from .spectral import BathThermalSpec
 
 ENTROPY_CLIP = 1e-14
@@ -99,74 +104,41 @@ def _expectation(h_block: np.ndarray, c_block: np.ndarray) -> float:
     return float(np.sum(h_block * c_block).real)
 
 
-def _times(c: np.ndarray, u_rows: np.ndarray) -> np.ndarray:
-    """c @ u_rows; a real c times a complex slab is one real product on its float view."""
-    if np.iscomplexobj(c) or not np.iscomplexobj(u_rows):
-        return c @ u_rows
-    return (c @ np.ascontiguousarray(u_rows).view(float)).view(complex)
-
-
-def _column_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re sum_k conj(a[k, i]) b[k, i] for every column i of two complex arrays.
-
-    Real and imaginary parts sit in adjacent float columns, so one real
-    contraction covers both and no conjugated copy is made.
-    """
-    pairs = np.einsum("ki,ki->i", a.view(float), b.view(float))
-    return pairs[0::2] + pairs[1::2]
-
-
 def step_thermodynamics(c_s: np.ndarray, prop: StepPropagator,
-                        c_baths: Sequence[np.ndarray],
+                        occupations: Sequence[np.ndarray],
                         specs: Sequence[BathThermalSpec]) -> StepThermo:
     """Evolve system (+ freshly thermal chains) through one cycle and do the accounting.
 
     The initial state c0 is the block-diagonal correlation matrix of the system
-    with the two thermal chains (no cross correlations).  External work is the
+    with the two thermal chains (no cross correlations); ``occupations`` holds
+    the Fermi factors (f1, f2) of the chains' eigenmodes.  External work is the
     negative change of the coupling energy, chemical work tracks the bath
     particle changes, and heat is the bath energy change less the chemical part.
 
-    The evolved state is ct = U^dag c0 U, but only the entries the accounting
-    reads are formed: ct[S,S], the diagonal and first superdiagonal of each
-    chain block (its Hamiltonian block is tridiagonal) and the one entry
-    ct[site_l, head_l] that couples each chain to the system.  Each is a column
-    overlap of U with W = c0 U, and W is built one row block of c0 at a time,
-    in real arithmetic for the real chain blocks.
+    The evolved system block is the cycle map itself, G_S^dag c_s G_S + P_S.
+    Each bath's particle, energy and coupling-energy changes are linear in c_s
+    and in the f_l, read off the set-up's ``CycleOperators``: one small product
+    per bath plus one contraction with c_s, so a step costs O(l_b), not O(n^3).
+    Both baths are computed independently, so the first law checks the cycle
+    rather than holding by construction.
     """
-    setup = prop.setup
-    h, u = setup.h, prop.u
-    s = setup.system
-    bath_slices = (setup.bath1, setup.bath2)
+    ops = prop.cycle_operators
+    h_s = prop.setup.h[prop.setup.system, prop.setup.system]
     c_s = np.asarray(c_s)
-    w = np.empty(u.shape, dtype=complex)
-    for rows, c in zip((s,) + bath_slices, (c_s,) + tuple(c_baths)):
-        w[rows] = _times(c, u[rows])
-
-    ct_s = u[:, s].conj().T @ w[:, s]
-    du = _expectation(h[s, s], ct_s) - _expectation(h[s, s], c_s)
-    occ_all = _column_overlaps(u, w)                    # ct[i, i]
-    hop_all = _column_overlaps(u[:, :-1], w[:, 1:])     # Re ct[i, i + 1]
-    dh_b, dh_sb, dn, q = [], [], [], []
-    for b, c_b, spec, site in zip(bath_slices, c_baths, specs, setup.coupling_sites):
-        occ, hop = occ_all[b], hop_all[b.start:b.stop - 1]
-        h_b = h[b, b]
-        db = (float(np.diagonal(h_b) @ occ + 2.0 * (np.diagonal(h_b, 1) @ hop))
-              - _expectation(h_b, c_b))
-        # c0 has no system-bath blocks, so the coupling energy starts at zero
-        dsb = 2.0 * h[site, b.start] * float(np.vdot(u[:, site], w[:, b.start]).real)
-        dnum = float(np.sum(occ) - np.trace(c_b).real)
-        dh_b.append(db)
-        dh_sb.append(dsb)
-        dn.append(dnum)
-        q.append(db - spec.mu * dnum)
+    ct_s = preb_step(c_s, prop, drive_matrix(prop, *occupations))
+    du = _expectation(h_s, ct_s) - _expectation(h_s, c_s)
+    x = (c_s.ravel() @ ops.system).real
+    for f, bath in zip(occupations, ops.bath):
+        x = x + f @ bath
+    dn1, dn2, dh_b1, dh_b2, dh_sb1, dh_sb2 = x.tolist()  # the order of CYCLE_COLUMNS
+    q1, q2 = dh_b1 - specs[0].mu * dn1, dh_b2 - specs[1].mu * dn2
     dn_s = float((np.trace(ct_s) - np.trace(c_s)).real)
-    w_ext = -(dh_sb[0] + dh_sb[1])
-    w_chem = -(specs[0].mu * dn[0] + specs[1].mu * dn[1])
     ds = gaussian_entropy(c_s) - gaussian_entropy(ct_s)
-    sigma = specs[0].beta * q[0] + specs[1].beta * q[1] - ds
-    return StepThermo(du=du, w_ext=w_ext, w_chem=w_chem, q=(q[0], q[1]), ds=ds,
-                      sigma=sigma, dn=(dn[0], dn[1]), dn_s=dn_s,
-                      dh_b=(dh_b[0], dh_b[1]), dh_sb=(dh_sb[0], dh_sb[1]))
+    sigma = specs[0].beta * q1 + specs[1].beta * q2 - ds
+    return StepThermo(du=du, w_ext=-(dh_sb1 + dh_sb2),
+                      w_chem=-(specs[0].mu * dn1 + specs[1].mu * dn2), q=(q1, q2), ds=ds,
+                      sigma=sigma, dn=(dn1, dn2), dn_s=dn_s, dh_b=(dh_b1, dh_b2),
+                      dh_sb=(dh_sb1, dh_sb2))
 
 
 @dataclass(frozen=True)

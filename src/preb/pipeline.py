@@ -6,11 +6,13 @@ process-wide caches, both emptied by ``clear_caches()``:
 - chain maps, per (spectral function, depth, discretization size), so sweeps
   that share a bath do not recompute them;
 - one set-up: its chains, Hamiltonian with eigensystem, chain eigensystems,
-  propagator and stability, keyed by (both spectral functions, discretization
-  size, chain length, g, tau).  None of these depends on the temperatures or
-  chemical potentials, so a point that differs only in mu or beta refills the
-  Fermi factors and solves the Lyapunov equation, nothing more.  The entry's
-  arrays are read-only, since later points share them.
+  propagator with its cycle operators, and stability, keyed by (both spectral
+  functions, discretization size, chain length, g, tau).  None of these
+  depends on the temperatures or chemical potentials, so a point that differs
+  only in mu or beta refills the chains' Fermi factors, applies the cycle
+  operators to them (the drive matrix and the accounting, O(l_b) each) and
+  solves the Lyapunov equation, nothing more.  The entry's arrays are
+  read-only, since later points share them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .builder import (SetupHamiltonian, SystemSpec, assemble_hamiltonian,
                       chain_length_for_tau, copies_required,
-                      rethermalization_estimate, thermal_correlation)
+                      rethermalization_estimate)
 from .chainmap import MIN_MODES_PER_SITE, ChainCoefficients, chain_map_tridiag
 from .config import ProcessConfig, RunConfig
 from .dynamics import preb_trajectory, step_thermodynamics
@@ -30,7 +32,7 @@ from .errors import ConfigError, NoUniqueNessError
 from .negf import NegfReport, landauer_currents
 from .propagator import (StepPropagator, drive_matrix, solve_dlyap_direct,
                          stability_rate, step_propagator)
-from .spectral import BathThermalSpec, SpectralFunction
+from .spectral import BathThermalSpec, SpectralFunction, fermi_occupation
 from .thermo import NessReport, classify_regime, ness_rates
 
 PROBE_DEPTH = 16
@@ -69,7 +71,7 @@ class NessBundle:
     setup: SetupHamiltonian
     prop: StepPropagator
     specs: tuple[BathThermalSpec, BathThermalSpec]
-    c_baths: tuple[np.ndarray, np.ndarray]
+    occupations: tuple[np.ndarray, np.ndarray]  # Fermi factors of each chain's eigenmodes
     p_s: np.ndarray
     spectral_radius: float
     rate: float
@@ -85,7 +87,7 @@ class NessBundle:
         """
         if c_ness is None:
             c_ness = self.solve_ness()
-        report = ness_rates(c_ness, self.prop, self.p_s, self.c_baths, self.specs)
+        report = ness_rates(c_ness, self.prop, self.p_s, self.occupations, self.specs)
         if report.beta1 < report.beta2:
             classify_regime(report)
         cfg = self.cfg
@@ -134,7 +136,8 @@ def _set_up(cfg: RunConfig, l_b: int) -> _SetUp:
     prop = step_propagator(setup, cfg.process.tau)
     radius, rate = stability_rate(prop.g_s, cfg.process.tau)
     (e1, v1), (e2, v2) = setup.chain_eigensystems
-    for array in (setup.h, *setup.eigensystem, e1, v1, e2, v2, prop.u):
+    for array in (setup.h, *setup.eigensystem, e1, v1, e2, v2, prop.u,
+                  *prop.cycle_operators.arrays()):
         array.setflags(write=False)
     entry = _SETUP_CACHE[key] = _SetUp(system=system, chains=chains, setup=setup,
                                        prop=prop, spectral_radius=radius, rate=rate)
@@ -148,12 +151,11 @@ def build_bundle(cfg: RunConfig, l_b: Optional[int] = None) -> NessBundle:
     setup = fixed.setup
     specs = (BathThermalSpec(cfg.bath1.beta, cfg.bath1.mu),
              BathThermalSpec(cfg.bath2.beta, cfg.bath2.mu))
-    c_baths = tuple(thermal_correlation(setup.h[b, b], spec, eigensystem=es)
-                    for b, spec, es in zip((setup.bath1, setup.bath2), specs,
-                                           setup.chain_eigensystems))
-    p_s = drive_matrix(fixed.prop, *c_baths)
+    occupations = tuple(fermi_occupation(spec, energies)
+                        for spec, (energies, _) in zip(specs, setup.chain_eigensystems))
+    p_s = drive_matrix(fixed.prop, *occupations)
     return NessBundle(cfg=cfg, system=fixed.system, chains=fixed.chains, l_b=l_b,
-                      setup=setup, prop=fixed.prop, specs=specs, c_baths=c_baths,
+                      setup=setup, prop=fixed.prop, specs=specs, occupations=occupations,
                       p_s=p_s, spectral_radius=fixed.spectral_radius, rate=fixed.rate)
 
 
@@ -177,7 +179,7 @@ def run_trajectory(cfg: RunConfig, steps: int):
         report = bundle.report(c_ness)
     c0 = np.zeros((bundle.setup.l_s, bundle.setup.l_s), dtype=complex)
     traj = preb_trajectory(c0, steps, bundle.prop, bundle.p_s, c_ness=c_ness)
-    thermos = [step_thermodynamics(c, bundle.prop, bundle.c_baths, bundle.specs)
+    thermos = [step_thermodynamics(c, bundle.prop, bundle.occupations, bundle.specs)
                for c in traj.states[:-1]]
     return traj, thermos, report
 

@@ -1,4 +1,4 @@
-"""One-cycle propagator blocks, the drive matrix, and discrete-time Lyapunov solvers.
+"""One-cycle propagator blocks, the cycle operators, and discrete-time Lyapunov solvers.
 
 The cycle map for the system correlation matrix is affine,
 
@@ -8,10 +8,17 @@ with G_S the system block of exp(-i H tau) and P_S built from the bath-to-
 system blocks and the thermal bath correlations.  Its fixed point solves the
 discrete-time Lyapunov equation C - G_S^dag C G_S = P_S, which has a unique
 solution iff every eigenvalue of G_S lies strictly inside the unit circle.
+
+A thermal chain enters only through the Fermi factors f_l of its eigenmodes,
+so P_S and every per-cycle bath quantity are linear in the f_l with
+coefficients fixed by the set-up (``CycleOperators``).  A point that changes
+only temperatures or chemical potentials applies new Fermi factors to the same
+operators.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +27,37 @@ from .builder import SetupHamiltonian
 from .errors import NoUniqueNessError, NumericsError
 
 UNITARITY_TOL = 1e-10
-HERMITICITY_TOL = 1e-8
 RADIUS_MARGIN = 1e-12
+# columns of CycleOperators.bath and entries of CycleOperators.system: per bath,
+# the change of its particle number, of its chain energy and of its coupling energy
+CYCLE_COLUMNS = ("dn1", "dn2", "dh_b1", "dh_b2", "dh_sb1", "dh_sb2")
+
+
+@dataclass(frozen=True, eq=False)
+class CycleOperators:
+    """Everything one cycle does, as linear maps of C_S and of the chains' Fermi factors.
+
+    With V_l the eigenbasis of chain l and Y_l = V_l^T U[B_l, :], a cycle takes
+    the initial state diag(C_S, V_1 f_1 V_1^T, V_2 f_2 V_2^T) to
+
+        ct = U[S, :]^dag C_S U[S, :] + sum_l Y_l^dag diag(f_l) Y_l.
+
+    Only the pieces the accounting reads are kept, never Y itself:
+
+    - ``drive[l]`` = Y_l[:, S], so P_S = sum_l drive_l^dag diag(f_l) drive_l;
+    - ``bath[l]``, real (l_b, 6): entry x of ``f_l @ bath[l]`` is what chain l
+      contributes to the change of ``CYCLE_COLUMNS[x]``; chain l's own values
+      before the cycle (its particle number and energy) are already subtracted;
+    - ``system``, complex (L_S^2, 6): the system's contribution is
+      Re(C_S.ravel() @ system) for a Hermitian C_S.
+    """
+
+    drive: tuple[np.ndarray, np.ndarray]
+    bath: tuple[np.ndarray, np.ndarray]
+    system: np.ndarray
+
+    def arrays(self) -> list[np.ndarray]:
+        return [*self.drive, *self.bath, self.system]
 
 
 @dataclass(eq=False)
@@ -38,13 +74,58 @@ class StepPropagator:
         s = self.setup.system
         return self.u[s, s]
 
-    @property
-    def g_b1s(self) -> np.ndarray:
-        return self.u[self.setup.bath1, self.setup.system]
+    @functools.cached_property
+    def cycle_operators(self) -> CycleOperators:
+        """The set-up's cycle operators, built on first use and reused."""
+        return _cycle_operators(self)
 
-    @property
-    def g_b2s(self) -> np.ndarray:
-        return self.u[self.setup.bath2, self.setup.system]
+
+def _cycle_operators(prop: StepPropagator) -> CycleOperators:
+    setup = prop.setup
+    h, u, l_s, l_b = setup.h, prop.u, setup.l_s, setup.l_b
+    # Each quantity x of CYCLE_COLUMNS reads the evolved state as
+    # sum w_x Re ct[i, j] over site pairs (i, j): every chain site with itself
+    # (its particle number and on-site energy), every bond of a chain, and each
+    # system-chain link; a pair of distinct sites has weight 2 h_ij.
+    eps, sup = np.diagonal(h)[l_s:], np.diagonal(h, 1)[l_s:]
+    links, heads = list(setup.coupling_sites), [setup.bath1.start, setup.bath2.start]
+    w_site = np.zeros((2 * l_b, len(CYCLE_COLUMNS)))
+    w_site[:l_b, 0] = w_site[l_b:, 1] = 1.0
+    w_site[:l_b, 2], w_site[l_b:, 3] = eps[:l_b], eps[l_b:]
+    w_bond = np.zeros((2 * l_b - 1, len(CYCLE_COLUMNS)))  # the bond between the chains: 0
+    w_bond[:l_b - 1, 2], w_bond[l_b:, 3] = 2.0 * sup[:l_b - 1], 2.0 * sup[l_b:]
+    w_link = np.zeros((2, len(CYCLE_COLUMNS)))
+    w_link[0, 4], w_link[1, 5] = 2.0 * h[links, heads]
+
+    # source: the system, whose state enters as a full matrix
+    z = u[setup.system]
+    sites = np.arange(l_s, setup.n_sites)
+    left = z[:, np.concatenate([sites, sites[:-1], links])].conj()
+    right = z[:, np.concatenate([sites, sites[1:], heads])]
+    system = ((left[:, None] * right[None]).reshape(l_s * l_s, -1)
+              @ np.concatenate([w_site, w_bond, w_link]))
+
+    # source: the chains' eigenmodes (rows of t), each occupied with its own f
+    t = np.zeros((2 * l_b, 2 * l_b))
+    y = np.empty((2 * l_b, 2 * setup.n_sites))
+    for m, (b, (_, modes)) in enumerate(zip((setup.bath1, setup.bath2),
+                                            setup.chain_eigensystems)):
+        rows = slice(m * l_b, (m + 1) * l_b)
+        t[rows, rows] = modes.T
+        np.matmul(modes.T, u[b].view(float), out=y[rows])  # Y_m on its float view
+    # on the float view, real and imaginary parts alternate: squares sum to
+    # |y_i|^2 and products two floats apart to Re(conj(y_i) y_i+1)
+    yc = y[:, 2 * l_s:]
+    after = ((yc * yc) @ np.repeat(w_site, 2, axis=0)
+             + (yc[:, :-2] * yc[:, 2:]) @ np.repeat(w_bond, 2, axis=0))
+    # less each chain's own particle number and energy before the cycle, from
+    # the modes as computed, so that C_B = V diag(f) V^T is the state evolved
+    before = (t * t) @ w_site + (t[:, :-1] * t[:, 1:]) @ w_bond
+    y = y.view(complex)
+    bath = after - before + (y[:, links].conj() * y[:, heads]).real @ w_link
+    return CycleOperators(drive=(np.ascontiguousarray(y[:l_b, setup.system]),
+                                 np.ascontiguousarray(y[l_b:, setup.system])),
+                          bath=(bath[:l_b], bath[l_b:]), system=system)
 
 
 def step_propagator(setup: SetupHamiltonian, tau: float) -> StepPropagator:
@@ -60,20 +141,20 @@ def step_propagator(setup: SetupHamiltonian, tau: float) -> StepPropagator:
     return StepPropagator(setup=setup, tau=tau, u=u, unitarity_defect=defect)
 
 
-def drive_matrix(prop: StepPropagator, c_b1: np.ndarray, c_b2: np.ndarray) -> np.ndarray:
+def drive_matrix(prop: StepPropagator, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Injection term P_S = sum_l G_{B_l S}^dag C_{B_l}^therm G_{B_l S}.
 
-    The result is Hermitian positive semidefinite; it is symmetrized and an
-    asymmetry above tolerance raises, since that signals a block-extraction bug.
+    ``f1`` and ``f2`` are the Fermi factors of each chain's eigenmodes, in the
+    order of ``SetupHamiltonian.chain_eigensystems``.  In that eigenbasis the
+    sum is sum_l A_l^dag diag(f_l) A_l, Hermitian positive semidefinite by
+    construction; it is symmetrized only to make it Hermitian to the last bit.
     """
-    g1, g2 = prop.g_b1s, prop.g_b2s
-    if c_b1.shape != (g1.shape[0],) * 2 or c_b2.shape != (g2.shape[0],) * 2:
-        raise ValueError("bath correlation matrices do not match the chain blocks")
-    p = g1.conj().T @ c_b1 @ g1 + g2.conj().T @ c_b2 @ g2
-    asym = float(np.max(np.abs(p - p.conj().T)))
-    scale = max(1.0, float(np.max(np.abs(p))))
-    if asym > HERMITICITY_TOL * scale:
-        raise NumericsError(f"drive matrix asymmetry {asym:.3e}")
+    drive = prop.cycle_operators.drive
+    p = 0
+    for a, f in zip(drive, (f1, f2)):
+        if np.shape(f) != (a.shape[0],):
+            raise ValueError("Fermi factors do not match the chain length")
+        p = p + (a.conj().T * f) @ a
     return 0.5 * (p + p.conj().T)
 
 

@@ -84,19 +84,20 @@ def curzon_ahlborn_efficiency(beta1: float, beta2: float) -> float:
 
 
 def ness_rates(c_s_ness: np.ndarray, prop: StepPropagator, p_s: np.ndarray,
-               c_baths: Sequence[np.ndarray], specs: Sequence[BathThermalSpec], *,
+               occupations: Sequence[np.ndarray], specs: Sequence[BathThermalSpec], *,
                residual_tol: float = 1e-8, stationarity_tol: float = 1e-9) -> NessReport:
     """Per-cycle thermodynamics at the steady state, divided by the cycle time.
 
-    Verifies that the input really is the fixed point, that internal energy
-    and entropy are stationary and that the entropy production is not negative
-    before reporting rates.
+    ``occupations`` are the Fermi factors (f1, f2) of the chains' eigenmodes,
+    as in ``step_thermodynamics``.  Verifies that the input really is the fixed
+    point, that internal energy and entropy are stationary and that the entropy
+    production is not negative before reporting rates.
     """
     tau = prop.tau
     residual = float(np.max(np.abs(preb_step(c_s_ness, prop, p_s) - c_s_ness)))
     if residual > residual_tol * max(1.0, float(np.max(np.abs(c_s_ness)))):
         raise NumericsError(f"state is not a fixed point of the cycle map: residual {residual:.3e}")
-    st = step_thermodynamics(c_s_ness, prop, c_baths, specs)
+    st = step_thermodynamics(c_s_ness, prop, occupations, specs)
     scale = max(abs(st.dh_b[0]), abs(st.dh_b[1]), abs(st.w_ext), abs(st.q[0]),
                 abs(st.q[1]), 1e-12)
     # the absolute floor covers roundoff at points where every rate vanishes

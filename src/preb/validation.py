@@ -268,7 +268,7 @@ def criterion_10(shared: _Shared) -> CriterionResult:
     c_ness = bundle.solve_ness()
     c0 = np.zeros_like(c_ness)
     traj = preb_trajectory(c0, 200, bundle.prop, bundle.p_s, c_ness=c_ness)
-    steps = [step_thermodynamics(c, bundle.prop, bundle.c_baths, bundle.specs)
+    steps = [step_thermodynamics(c, bundle.prop, bundle.occupations, bundle.specs)
              for c in traj.states[:-1]]
     worst_first_law = 0.0
     worst_sigma = 0.0

@@ -3,12 +3,12 @@ import csv
 import numpy as np
 import pytest
 
-from preb.builder import SystemSpec, assemble_hamiltonian, thermal_correlation
+from preb.builder import SystemSpec, assemble_hamiltonian
 from preb.chainmap import ChainCoefficients
 from preb.config import heat_engine_preset as engine_config
 from preb.config import refrigerator_preset as fridge_config
 from preb.pipeline import build_bundle
-from preb.spectral import BathThermalSpec
+from preb.spectral import BathThermalSpec, fermi_occupation
 from preb.validation import fixed_config
 
 __all__ = ["engine_config", "fridge_config", "fixed_config"]
@@ -54,7 +54,11 @@ def broad_bundle():
 
 
 def decoupled_bundle_pieces(l_b=4, tau=1.0, beta=1.0, mu=-2.0):
-    """Set-up whose system-chain couplings underflow to zero: an exactly closed system."""
+    """Set-up whose system-chain couplings underflow to zero: an exactly closed system.
+
+    Returns the set-up, the Fermi factors of each chain's eigenmodes and the
+    thermal specs.
+    """
     system = SystemSpec.two_site(1.0)
     eps = np.zeros(l_b)
     hop = np.full(l_b, 3.0)
@@ -62,5 +66,5 @@ def decoupled_bundle_pieces(l_b=4, tau=1.0, beta=1.0, mu=-2.0):
     chain = ChainCoefficients(eps=eps, hop=hop)
     setup = assemble_hamiltonian(system, [chain, chain], l_b)
     spec = BathThermalSpec(beta, mu)
-    c_b = thermal_correlation(setup.h[setup.bath1, setup.bath1], spec)
-    return setup, (c_b, c_b), (spec, spec)
+    f = fermi_occupation(spec, setup.chain_eigensystems[0][0])
+    return setup, (f, f), (spec, spec)

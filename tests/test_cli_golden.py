@@ -67,6 +67,13 @@ def test_mu_sweep_matches_golden(tmp_path, capsys):
     _assert_matches_golden(capsys.readouterr().out, "sweep_mu_heat_engine.csv")
 
 
+def test_trajectory_matches_golden(capsys):
+    """200 cold-start cycles: the per-step accounting away from the fixed point."""
+    engine = str(ROOT / "configs" / "heat_engine.ini")
+    assert cli.main(["trajectory", engine, "--steps", "200"]) == 0
+    _assert_matches_golden(capsys.readouterr().out, "trajectory_heat_engine.csv")
+
+
 def _assert_matches_golden(out, golden):
     got_lines = out.splitlines()
     want_lines = (GOLDEN / golden).read_text().splitlines()

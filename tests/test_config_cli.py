@@ -1,4 +1,5 @@
 import io
+import runpy
 import textwrap
 
 import numpy as np
@@ -220,6 +221,31 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text("[bath1]\nbeta = nope\n")
         assert cli.main(["ness", str(path)]) == 2
+
+    def test_unexpected_error_is_one_line_and_exit_4(self, engine_ini, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setitem(cli._COMMANDS, "ness", broken)
+        assert cli.main(["ness", engine_ini]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "RuntimeError" in captured.err
+
+    def test_keyboard_interrupt_is_not_swallowed(self, engine_ini, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._COMMANDS, "ness", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["ness", engine_ini])
+
+    def test_module_entry_point_help(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["preb", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("preb", run_name="__main__")
+        assert exc.value.code == 0
+        assert "usage: preb" in capsys.readouterr().out
 
     def test_no_ness_exit_code(self, tmp_path, capsys):
         path = tmp_path / "weak.ini"

@@ -6,11 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import decoupled_bundle_pieces, engine_config
+from preb.builder import thermal_correlation
 from preb.dynamics import (TRAJECTORY_COLUMNS, StepThermo, cumulative_thermo,
                            gaussian_entropy, preb_step, preb_trajectory,
                            step_thermodynamics, trajectory_to_csv)
 from preb.pipeline import build_bundle, run_negf
 from preb.propagator import step_propagator
+from preb.sweeps import apply_axis
 from preb.thermo import ness_rates
 
 
@@ -97,7 +99,8 @@ class TestTrajectory:
         c_ness = bundle.solve_ness()
         c0 = np.zeros_like(c_ness)
         traj = preb_trajectory(c0, 60, bundle.prop, bundle.p_s, c_ness=c_ness)
-        steps = np.arange(30, 56)
+        # distances from 5e-10 down to 2e-14, clear of the ~1e-16 roundoff floor
+        steps = np.arange(30, 46)
         slope = np.polyfit(steps, np.log(traj.dist_to_ness[steps]), 1)[0]
         assert slope == pytest.approx(2.0 * np.log(bundle.spectral_radius), rel=0.02)
 
@@ -121,16 +124,19 @@ class TestTrajectory:
         assert np.max(np.abs(occ - negf) / negf) < 0.02
 
 
-def dense_step_thermodynamics(c_s, prop, c_baths, specs) -> StepThermo:
-    """The accounting on the full evolved state ct = U^dag c0 U: the reference."""
+def dense_step_thermodynamics(c_s, prop, specs) -> StepThermo:
+    """The accounting on the full evolved state ct = U^dag c0 U: the reference.
+
+    The chains start in their dense thermal states from ``thermal_correlation``.
+    """
     setup = prop.setup
     h, s = setup.h, setup.system
     bath_slices = (setup.bath1, setup.bath2)
     n = setup.n_sites
     c0 = np.zeros((n, n), dtype=complex)
     c0[s, s] = c_s
-    for b, cb in zip(bath_slices, c_baths):
-        c0[b, b] = cb
+    for b, spec in zip(bath_slices, specs):
+        c0[b, b] = thermal_correlation(h[b, b], spec)
     ct = prop.u.conj().T @ c0 @ prop.u
 
     def energy(c, rows, cols):
@@ -165,30 +171,35 @@ def _fields(st: StepThermo) -> dict:
 
 
 class TestStepThermodynamics:
-    @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0])
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 20.0, 50.0])
     def test_matches_dense_accounting(self, tau):
         """Every field equals the dense ct = U^dag c0 U reference to 1e-12.
 
         Relative to the largest field of the step: single fields such as
         Q = dH_B - mu dN cancel far below the step's scale, and there the
-        reference itself carries that scale's roundoff.
+        reference itself carries that scale's roundoff.  The mu and beta points
+        after the first reuse its set-up, and with it its cycle operators.
         """
-        bundle = build_bundle(engine_config(tau=tau))
-        rng = np.random.default_rng(11)
-        for _ in range(4):
-            c = random_system_state(rng)
-            got = _fields(step_thermodynamics(c, bundle.prop, bundle.c_baths, bundle.specs))
-            want = _fields(dense_step_thermodynamics(c, bundle.prop, bundle.c_baths,
-                                                     bundle.specs))
-            scale = max(abs(x) for x in want.values())
-            for name, x in want.items():
-                assert abs(got[name] - x) <= 1e-12 * scale, name
+        base = engine_config(tau=tau)
+        points = [base] + [apply_axis(base, axis, value) for axis, value in
+                           (("mu", -1.3), ("mu", 0.7), ("beta1", 0.3))]
+        for cfg in points:
+            bundle = build_bundle(cfg)
+            rng = np.random.default_rng(11)
+            for _ in range(4):
+                c = random_system_state(rng)
+                got = _fields(step_thermodynamics(c, bundle.prop, bundle.occupations,
+                                                  bundle.specs))
+                want = _fields(dense_step_thermodynamics(c, bundle.prop, bundle.specs))
+                scale = max(abs(x) for x in want.values())
+                for name, x in want.items():
+                    assert abs(got[name] - x) <= 1e-12 * scale, (cfg.bath1, name)
 
     def test_first_law_and_closures_on_random_states(self, engine_bundle):
         rng = np.random.default_rng(9)
         for _ in range(4):
             c = random_system_state(rng)
-            st = step_thermodynamics(c, engine_bundle.prop, engine_bundle.c_baths,
+            st = step_thermodynamics(c, engine_bundle.prop, engine_bundle.occupations,
                                      engine_bundle.specs)
             scale = max(abs(st.w), abs(st.q[0]), abs(st.q[1]), abs(st.du), 1.0)
             assert st.first_law_defect < 1e-9 * scale
@@ -199,7 +210,7 @@ class TestStepThermodynamics:
         rng = np.random.default_rng(10)
         for _ in range(4):
             st = step_thermodynamics(random_system_state(rng), engine_bundle.prop,
-                                     engine_bundle.c_baths, engine_bundle.specs)
+                                     engine_bundle.occupations, engine_bundle.specs)
             assert st.sigma > -1e-10
 
     def test_filled_band_equilibrium_is_silent(self):
@@ -208,7 +219,7 @@ class TestStepThermodynamics:
             bath1=engine_config().bath1.__class__(lam=0.2, beta=1.0, mu=1e4),
             bath2=engine_config().bath2.__class__(lam=0.2, omega0=-1.0, beta=1.0, mu=1e4)))
         c_s = np.eye(2, dtype=complex)
-        st = step_thermodynamics(c_s, bundle.prop, bundle.c_baths, bundle.specs)
+        st = step_thermodynamics(c_s, bundle.prop, bundle.occupations, bundle.specs)
         assert abs(st.sigma) < 1e-9
         assert abs(st.q[0]) < 1e-9 and abs(st.q[1]) < 1e-9
 
@@ -218,7 +229,7 @@ class TestStepThermodynamics:
                           bath2=cfg.bath2.__class__(lam=0.2, omega0=-1.0, beta=1e-12, mu=0.0))
         bundle = build_bundle(cfg)
         st = step_thermodynamics(0.5 * np.eye(2, dtype=complex), bundle.prop,
-                                 bundle.c_baths, bundle.specs)
+                                 bundle.occupations, bundle.specs)
         assert abs(st.sigma) < 1e-9
 
     def test_equal_baths_still_dissipate_switching_work(self):
@@ -226,16 +237,15 @@ class TestStepThermodynamics:
         cfg = engine_config(lam=0.2)
         cfg = cfg.replace(bath1=cfg.bath1.__class__(lam=0.2, beta=1.0, mu=-2.0))
         bundle = build_bundle(cfg)
-        from preb.builder import thermal_correlation
         c_s = thermal_correlation(bundle.system.h_s, bundle.specs[0]).astype(complex)
-        st = step_thermodynamics(c_s, bundle.prop, bundle.c_baths, bundle.specs)
+        st = step_thermodynamics(c_s, bundle.prop, bundle.occupations, bundle.specs)
         assert st.sigma > 1e-3  # genuinely positive, not a numerical zero
 
 
 class TestCumulative:
     def test_single_step_totals(self, engine_bundle):
         st = step_thermodynamics(np.zeros((2, 2)), engine_bundle.prop,
-                                 engine_bundle.c_baths, engine_bundle.specs)
+                                 engine_bundle.occupations, engine_bundle.specs)
         tot = cumulative_thermo([st], tau=1.0)
         assert tot.w_ext == st.w_ext
         assert tot.q == st.q
@@ -249,7 +259,7 @@ class TestCumulative:
         c = np.zeros((2, 2), dtype=complex)
         running = 0.0
         for _ in range(25):
-            st = step_thermodynamics(c, engine_bundle.prop, engine_bundle.c_baths,
+            st = step_thermodynamics(c, engine_bundle.prop, engine_bundle.occupations,
                                      engine_bundle.specs)
             assert st.sigma > -1e-10
             running_next = running + st.sigma
@@ -262,11 +272,11 @@ class TestCumulative:
         steps = []
         for _ in range(5):
             steps.append(step_thermodynamics(c, engine_bundle.prop,
-                                             engine_bundle.c_baths, engine_bundle.specs))
+                                             engine_bundle.occupations, engine_bundle.specs))
             c = preb_step(c, engine_bundle.prop, engine_bundle.p_s)
         tot = cumulative_thermo(steps, tau=engine_bundle.prop.tau)
         rep = ness_rates(engine_bundle.solve_ness(), engine_bundle.prop,
-                         engine_bundle.p_s, engine_bundle.c_baths, engine_bundle.specs)
+                         engine_bundle.p_s, engine_bundle.occupations, engine_bundle.specs)
         assert tot.p_ext == pytest.approx(rep.p_ext, rel=1e-10)
         assert tot.qdot[0] == pytest.approx(rep.qdot[0], rel=1e-10)
 
@@ -281,7 +291,7 @@ def test_global_entropy_identity(engine_bundle):
     c = np.zeros((2, 2), dtype=complex)
     steps = []
     for _ in range(30):
-        steps.append(step_thermodynamics(c, engine_bundle.prop, engine_bundle.c_baths,
+        steps.append(step_thermodynamics(c, engine_bundle.prop, engine_bundle.occupations,
                                          engine_bundle.specs))
         c = preb_step(c, engine_bundle.prop, engine_bundle.p_s)
     tot = cumulative_thermo(steps, tau=1.0)
@@ -296,7 +306,7 @@ def test_trajectory_csv_format(engine_bundle):
     c0 = np.zeros((2, 2), dtype=complex)
     traj = preb_trajectory(c0, 3, engine_bundle.prop, engine_bundle.p_s,
                            c_ness=engine_bundle.solve_ness())
-    steps = [step_thermodynamics(c, engine_bundle.prop, engine_bundle.c_baths,
+    steps = [step_thermodynamics(c, engine_bundle.prop, engine_bundle.occupations,
                                  engine_bundle.specs) for c in traj.states[:-1]]
     buf = io.StringIO()
     trajectory_to_csv(buf, steps, traj.dist_to_ness[1:])

@@ -58,7 +58,9 @@ class TestSetUpCache:
         base = build_bundle(engine_config())
         other = build_bundle(apply_axis(engine_config(), axis, value))
         assert other.prop is base.prop and other.setup is base.setup
+        assert other.prop.cycle_operators is base.prop.cycle_operators
         assert other.specs != base.specs
+        assert any((f != g).any() for f, g in zip(other.occupations, base.occupations))
 
     def test_hit_reports_equal_cold_reports(self):
         cfg = apply_axis(engine_config(), "mu", -1.7)
@@ -86,7 +88,8 @@ class TestSetUpCache:
         bundle = build_bundle(engine_config())
         setup = bundle.setup
         arrays = [setup.h, bundle.prop.u, bundle.prop.g_s, *setup.eigensystem,
-                  *(a for es in setup.chain_eigensystems for a in es)]
+                  *(a for es in setup.chain_eigensystems for a in es),
+                  *bundle.prop.cycle_operators.arrays()]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 0.0

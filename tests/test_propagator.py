@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 
 from conftest import decoupled_bundle_pieces
 from preb.errors import NoUniqueNessError, NumericsError
-from preb.propagator import (StepPropagator, drive_matrix, solve_dlyap_direct,
-                             solve_dlyap_doubling, stability_rate, step_propagator)
+from preb.propagator import (drive_matrix, solve_dlyap_direct, solve_dlyap_doubling,
+                             stability_rate, step_propagator)
 
 
 class TestStepPropagator:
@@ -47,22 +47,31 @@ class TestStepPropagator:
         ])
         assert np.max(np.abs(rebuilt - prop.u)) == 0.0
 
+    def test_corrupted_eigensystem_is_rejected(self):
+        """A cached eigensystem whose modes are no longer orthonormal gives a non-unitary U."""
+        setup, _, _ = decoupled_bundle_pieces()
+        energies, modes = np.linalg.eigh(setup.h)
+        modes[:, 0] *= 1.01
+        setup.__dict__["eigensystem"] = (energies, modes)  # what the cached property holds
+        with pytest.raises(NumericsError, match="lost unitarity"):
+            step_propagator(setup, 1.0)
+
 
 class TestDriveMatrix:
     def test_decoupled_baths_inject_nothing(self):
-        setup, c_baths, _ = decoupled_bundle_pieces()
+        setup, occupations, _ = decoupled_bundle_pieces()
         prop = step_propagator(setup, 1.0)
-        p = drive_matrix(prop, *c_baths)
+        p = drive_matrix(prop, *occupations)
         assert np.max(np.abs(p)) < 1e-280
 
     def test_empty_baths_inject_nothing(self, engine_bundle):
-        zero = np.zeros((engine_bundle.l_b, engine_bundle.l_b))
+        zero = np.zeros(engine_bundle.l_b)
         p = drive_matrix(engine_bundle.prop, zero, zero)
         assert np.max(np.abs(p)) == 0.0
 
     def test_full_baths_saturate_unitarity_identity(self, engine_bundle):
-        eye = np.eye(engine_bundle.l_b)
-        p = drive_matrix(engine_bundle.prop, eye, eye)
+        full = np.ones(engine_bundle.l_b)
+        p = drive_matrix(engine_bundle.prop, full, full)
         g = engine_bundle.prop.g_s
         assert np.max(np.abs(p - (np.eye(g.shape[0]) - g.conj().T @ g))) < 1e-10
 
@@ -71,15 +80,10 @@ class TestDriveMatrix:
         assert np.max(np.abs(p - p.conj().T)) == 0.0
         assert np.min(np.linalg.eigvalsh(p)) > -1e-12
 
-    def test_corrupted_blocks_are_rejected(self, engine_bundle):
-        bad_u = engine_bundle.prop.u.copy()
-        bad_u[2, 0] += 0.05  # break the bath-system block consistency
-        bad = StepPropagator(setup=engine_bundle.setup, tau=1.0, u=bad_u,
-                             unitarity_defect=0.0)
-        c1, c2 = engine_bundle.c_baths
-        with pytest.raises(NumericsError, match="asymmetry"):
-            # asymmetric bath correlation input makes the defect visible
-            drive_matrix(bad, c1 + 0.05j * np.eye(c1.shape[0]), c2)
+    def test_occupations_must_match_the_chains(self, engine_bundle):
+        f1, f2 = engine_bundle.occupations
+        with pytest.raises(ValueError, match="chain length"):
+            drive_matrix(engine_bundle.prop, f1[:-1], f2)
 
 
 class TestLyapunovSolvers:
@@ -140,8 +144,8 @@ class TestLyapunovSolvers:
         assert residual < 1e-10 * max(1.0, np.max(np.abs(c)))
 
     def test_full_baths_fix_the_filled_system(self, engine_bundle):
-        eye = np.eye(engine_bundle.l_b)
-        p = drive_matrix(engine_bundle.prop, eye, eye)
+        full = np.ones(engine_bundle.l_b)
+        p = drive_matrix(engine_bundle.prop, full, full)
         c = solve_dlyap_direct(engine_bundle.prop.g_s, p)
         assert_allclose(c, np.eye(c.shape[0]), atol=1e-9)
 

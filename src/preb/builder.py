@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -57,37 +57,49 @@ class SystemSpec:
         return cls(h_s=np.array([[0.0, g], [g, 0.0]]), coupling_sites=(0, 1))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SetupHamiltonian:
-    """Block single-particle matrix (system | chain 1 | chain 2) with its index map."""
+    """Block single-particle matrix (system | chain 1 | chain 2) with its index map.
 
-    h: np.ndarray
-    l_s: int
-    l_b: int
-    coupling_sites: tuple[int, int]
+    Built from the system and each chain's ``(eps, hop)`` pair of length
+    ``l_b`` (``hop[0]`` couples the chain's head to its system site), it
+    assembles ``h`` once.  Its structure holds by construction: tridiagonal
+    chain blocks, one link per chain at its head, no chain-chain block.
+    """
+
+    system_spec: SystemSpec
+    chains: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    h: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        n = self.l_s + 2 * self.l_b
-        if h.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix, got {h.shape}")
-        if np.max(np.abs(h - h.T)) > SYMMETRY_TOL:
-            raise ValueError("set-up Hamiltonian must be symmetric")
-        b1, b2 = self.bath1, self.bath2
-        if np.any(h[b1, b2] != 0.0):
-            raise ValueError("chains of different baths must not couple")
-        for ell, b in enumerate((b1, b2)):
-            block = h[b, b]
-            if np.max(np.abs(block - np.diag(np.diag(block))
-                             - np.diag(np.diag(block, 1), 1)
-                             - np.diag(np.diag(block, -1), -1))) > 0:
-                raise ValueError(f"bath {ell + 1} block is not tridiagonal")
-            sb = h[self.system, b]
-            mask = np.zeros_like(sb, dtype=bool)
-            mask[self.coupling_sites[ell], 0] = True
-            if np.any(sb[~mask] != 0.0):
-                raise ValueError(f"bath {ell + 1} may couple only at its first chain site")
-        self.h = h
+        if len(self.chains) != 2:
+            raise ValueError("need exactly two chains")
+        chains = tuple((np.asarray(eps, dtype=float), np.asarray(hop, dtype=float))
+                       for eps, hop in self.chains)
+        l_b = chains[0][0].size
+        if l_b < 1 or any(a.shape != (l_b,) for chain in chains for a in chain):
+            raise ValueError("each chain needs 1-d eps and hop arrays of one common length >= 1")
+        object.__setattr__(self, "chains", chains)
+        l_s = self.system_spec.n_sites
+        h = np.zeros((l_s + 2 * l_b, l_s + 2 * l_b))
+        h[:l_s, :l_s] = self.system_spec.h_s
+        idx = np.arange(l_b)
+        for (eps, hop), site, b in zip(chains, self.system_spec.coupling_sites,
+                                       (self.bath1, self.bath2)):
+            off = b.start
+            h[site, off] = h[off, site] = hop[0]
+            h[off + idx, off + idx] = eps
+            h[off + idx[:-1], off + idx[1:]] = hop[1:]
+            h[off + idx[1:], off + idx[:-1]] = hop[1:]
+        object.__setattr__(self, "h", h)
+
+    @property
+    def l_s(self) -> int:
+        return self.system_spec.n_sites
+
+    @property
+    def l_b(self) -> int:
+        return self.chains[0][0].size
 
     @property
     def n_sites(self) -> int:
@@ -126,28 +138,13 @@ def chain_length_for_tau(g_b: float, tau: float, l_0: int) -> int:
 def assemble_hamiltonian(system: SystemSpec,
                          chains: Sequence[ChainCoefficients],
                          l_b: int) -> SetupHamiltonian:
-    """Build the block matrix from the system and two chains of length ``l_b``.
+    """The set-up of the system and two chains, each cut or padded to length ``l_b``.
 
     Chains shorter than ``l_b`` are padded with their asymptotic coefficients.
     """
-    if len(chains) != 2:
-        raise ValueError("need exactly two chains")
     if l_b < 1:
         raise ValueError("l_b must be >= 1")
-    l_s = system.n_sites
-    n = l_s + 2 * l_b
-    h = np.zeros((n, n))
-    h[:l_s, :l_s] = system.h_s
-    for ell, chain in enumerate(chains):
-        eps, hop = chain.padded(l_b)
-        off = l_s + ell * l_b
-        site = system.coupling_sites[ell]
-        h[site, off] = h[off, site] = hop[0]
-        idx = np.arange(l_b)
-        h[off + idx, off + idx] = eps
-        h[off + idx[:-1], off + idx[1:]] = hop[1:]
-        h[off + idx[1:], off + idx[:-1]] = hop[1:]
-    return SetupHamiltonian(h=h, l_s=l_s, l_b=l_b, coupling_sites=system.coupling_sites)
+    return SetupHamiltonian(system, tuple(chain.padded(l_b) for chain in chains))
 
 
 def thermal_correlation(h_b: np.ndarray, spec: BathThermalSpec) -> np.ndarray:

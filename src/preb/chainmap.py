@@ -40,14 +40,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericsError
-from .spectral import (DEFAULT_GRID_MARGIN, DEFAULT_GRID_POINTS, LORENTZIAN,
-                       SpectralFunction, SpectralTable, frequency_grid,
+from .spectral import (LORENTZIAN, SpectralFunction, SpectralTable, frequency_grid,
                        hilbert_transform)
 
 log = logging.getLogger(__name__)
 
 TAIL_TOLERANCE = 0.05
 MIN_MODES_PER_SITE = 50
+RECURSION_G2_FLOOR = 1e-12  # the moment recursion stops at this squared hopping
 
 
 def _tail_stats(eps: np.ndarray, hop: np.ndarray) -> tuple[float, float, float]:
@@ -100,8 +100,8 @@ class ChainCoefficients:
     def depth(self) -> int:
         return self.eps.size
 
-    def tail_converged(self, tol: float = TAIL_TOLERANCE) -> bool:
-        return self.tail_deviation < tol
+    def tail_converged(self) -> bool:
+        return self.tail_deviation < TAIL_TOLERANCE
 
     def padded(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """(eps, hop) arrays of the requested length, padded with the asymptotics."""
@@ -127,10 +127,7 @@ class ChainCoefficients:
 # -- moment recursion ---------------------------------------------------------
 
 
-def chain_map_recursion(sf: SpectralFunction, depth: int, *,
-                        points: int = DEFAULT_GRID_POINTS,
-                        margin: float = DEFAULT_GRID_MARGIN,
-                        g2_floor: float = 1e-12) -> ChainCoefficients:
+def chain_map_recursion(sf: SpectralFunction, depth: int) -> ChainCoefficients:
     """Iterate the moment recursion on a uniform frequency grid.
 
     Numerically reliable only for shallow depths (roughly p <= 10); beyond
@@ -138,13 +135,13 @@ def chain_map_recursion(sf: SpectralFunction, depth: int, *,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    grid = frequency_grid(sf, points=points, margin=margin)
+    grid = frequency_grid(sf)
     J = sf(grid)
     eps = np.empty(depth)
     hop = np.empty(depth)
     for p in range(depth):
         g2 = np.trapezoid(J, grid) / (2 * np.pi)
-        if not np.isfinite(g2) or g2 <= g2_floor:
+        if not np.isfinite(g2) or g2 <= RECURSION_G2_FLOOR:
             raise NumericsError(f"chain decouples / recursion unstable at depth {p}")
         hop[p] = np.sqrt(g2)
         eps[p] = np.trapezoid(grid * J, grid) / (2 * np.pi * g2)

@@ -175,6 +175,8 @@ def validate_process(process: ProcessConfig) -> None:
         raise ConfigError("process.l0 must be >= 0")
     if process.depth is not None and process.depth < 1:
         raise ConfigError("process.depth must be >= 1")
+    if process.tau_r_factor <= 0:
+        raise ConfigError("process.tau_r_factor must be positive")
 
 
 def _validate_sweep(sweep: SweepConfig) -> None:

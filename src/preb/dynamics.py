@@ -7,9 +7,9 @@ change is recorded as dS = S_before - S_after, so the per-step entropy
 production reads Sigma = sum_l beta_l Q_l - dS and is non-negative.
 
 The chains enter each cycle thermal, described by the Fermi factors of their
-eigenmodes; the per-step accounting applies those and the system state to the
-set-up's ``CycleOperators``, so a step costs O(l_b) and never forms the
-evolved state of the whole set-up.
+eigenmodes.  ``preb_step`` applies the cycle map; the per-step accounting
+reads a state and the successor the map made from it, and applies them and
+the Fermi factors to the set-up's ``CycleOperators``, so a step costs O(l_b).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .propagator import StepPropagator, drive_matrix
+from .propagator import StepPropagator
 from .spectral import BathThermalSpec
 
 ENTROPY_CLIP = 1e-14
@@ -29,10 +29,10 @@ TRAJECTORY_COLUMNS = ["step", "deltaU", "W_ext", "W_chem", "Q1", "Q2", "dS", "Si
                       "dist_to_ness"]
 
 
-def gaussian_entropy(c_s: np.ndarray, clip: float = ENTROPY_CLIP) -> float:
+def gaussian_entropy(c_s: np.ndarray) -> float:
     """Von Neumann entropy of the Gaussian state with correlation matrix ``c_s``."""
     occ = np.linalg.eigvalsh(np.asarray(c_s))
-    occ = np.clip(occ.real, clip, 1.0 - clip)
+    occ = np.clip(occ.real, ENTROPY_CLIP, 1.0 - ENTROPY_CLIP)
     return float(-np.sum(occ * np.log(occ) + (1.0 - occ) * np.log(1.0 - occ)))
 
 
@@ -104,18 +104,19 @@ def _expectation(h_block: np.ndarray, c_block: np.ndarray) -> float:
     return float(np.sum(h_block * c_block).real)
 
 
-def step_thermodynamics(c_s: np.ndarray, prop: StepPropagator,
+def step_thermodynamics(c_s: np.ndarray, ct_s: np.ndarray, prop: StepPropagator,
                         occupations: Sequence[np.ndarray],
                         specs: Sequence[BathThermalSpec]) -> StepThermo:
-    """Evolve system (+ freshly thermal chains) through one cycle and do the accounting.
+    """The accounting of the cycle that took the system from ``c_s`` to ``ct_s``.
 
-    The initial state c0 is the block-diagonal correlation matrix of the system
-    with the two thermal chains (no cross correlations); ``occupations`` holds
-    the Fermi factors (f1, f2) of the chains' eigenmodes.  External work is the
-    negative change of the coupling energy, chemical work tracks the bath
-    particle changes, and heat is the bath energy change less the chemical part.
+    ``ct_s`` is the map's image G_S^dag c_s G_S + P_S, as ``preb_step`` or a
+    trajectory made it.  The cycle starts from the block-diagonal state of the
+    system with the two thermal chains (no cross correlations); ``occupations``
+    holds the Fermi factors (f1, f2) of the chains' eigenmodes.  External work
+    is the negative change of the coupling energy, chemical work tracks the
+    bath particle changes, and heat is the bath energy change less the
+    chemical part.
 
-    The evolved system block is the cycle map itself, G_S^dag c_s G_S + P_S.
     Each bath's particle, energy and coupling-energy changes are linear in c_s
     and in the f_l, read off the set-up's ``CycleOperators``: one small product
     per bath plus one contraction with c_s, so a step costs O(l_b), not O(n^3).
@@ -125,7 +126,6 @@ def step_thermodynamics(c_s: np.ndarray, prop: StepPropagator,
     ops = prop.cycle_operators
     h_s = prop.setup.h[prop.setup.system, prop.setup.system]
     c_s = np.asarray(c_s)
-    ct_s = preb_step(c_s, prop, drive_matrix(prop, *occupations))
     du = _expectation(h_s, ct_s) - _expectation(h_s, c_s)
     x = (c_s.ravel() @ ops.system).real
     for f, bath in zip(occupations, ops.bath):

@@ -33,15 +33,16 @@ log = logging.getLogger(__name__)
 QUAD_ABS_TOL = 1e-9
 WINDOW_MARGIN = 0.05
 LEAD_GRID_POINTS = 16384
+MAX_HALVINGS = 18  # a panel stops refining at 8 * 2**18 Simpson intervals
+TRANSMISSION_POINTS = 2001
 
 
 class LeadSelfEnergy:
     """Retarded self-energy of one lead, with the Hilbert transform precomputed."""
 
-    def __init__(self, sf: SpectralFunction, points: int = LEAD_GRID_POINTS,
-                 margin: float = WINDOW_MARGIN):
+    def __init__(self, sf: SpectralFunction):
         self.sf = sf
-        self.grid = frequency_grid(sf, points=points, margin=margin)
+        self.grid = frequency_grid(sf, points=LEAD_GRID_POINTS, margin=WINDOW_MARGIN)
         self.j_grid = sf(self.grid)
         self.jh_grid = hilbert_transform(self.grid, self.j_grid)
 
@@ -80,7 +81,7 @@ class NegfReport:
     occupations: np.ndarray
 
 
-def _panel_quad(f, a: float, b: float, abs_tol: float, max_halvings: int = 18):
+def _panel_quad(f, a: float, b: float, abs_tol: float):
     """Composite-Simpson integral of a vector integrand over one panel.
 
     The step is halved until the Simpson error estimate drops below the
@@ -96,18 +97,18 @@ def _panel_quad(f, a: float, b: float, abs_tol: float, max_halvings: int = 18):
                      + 2 * y[..., 2:-2:2].sum(axis=-1))
         if prev is not None and float(np.max(np.abs(s - prev))) / 15 < abs_tol:
             return s
-        if m >= 8 * 2 ** max_halvings:
+        if m >= 8 * 2 ** MAX_HALVINGS:
             log.warning("panel [%g, %g] hit the refinement cap", a, b)
             return s
         prev = s
         m *= 2
 
 
-def _integrate(f, breakpoints: np.ndarray, abs_tol: float) -> np.ndarray:
+def _integrate(f, breakpoints: np.ndarray) -> np.ndarray:
     panels = [(a, b) for a, b in zip(breakpoints[:-1], breakpoints[1:]) if b > a]
     if not panels:
         return f(np.array([0.0]))[..., 0] * 0.0
-    tol = abs_tol / len(panels)
+    tol = QUAD_ABS_TOL / len(panels)
     return sum(_panel_quad(f, a, b, tol) for a, b in panels)
 
 
@@ -125,8 +126,7 @@ def _breakpoints(leads, specs, lo: float, hi: float) -> np.ndarray:
 
 
 def landauer_currents(system: SystemSpec, leads: tuple[SpectralFunction, SpectralFunction],
-                      specs: tuple[BathThermalSpec, BathThermalSpec], *,
-                      abs_tol: float = QUAD_ABS_TOL) -> NegfReport:
+                      specs: tuple[BathThermalSpec, BathThermalSpec]) -> NegfReport:
     """Particle and energy currents plus steady occupations of the autonomous process.
 
     T(w) = Gamma_1 Gamma_2 |G^r_{i1 i2}|^2 with G^r the dressed system resolvent;
@@ -150,7 +150,7 @@ def landauer_currents(system: SystemSpec, leads: tuple[SpectralFunction, Spectra
         particle = energy = 0.0
     else:
         bp = _breakpoints(leads, specs, lo_t, hi_t)
-        particle, energy = _integrate(current_integrand, bp, abs_tol)
+        particle, energy = _integrate(current_integrand, bp)
 
     lo_u, hi_u = min(lo1, lo2), max(hi1, hi2)
 
@@ -162,8 +162,7 @@ def landauer_currents(system: SystemSpec, leads: tuple[SpectralFunction, Spectra
                + np.abs(g[:, :, i2]) ** 2 * fill2[:, None]) / (2 * np.pi)
         return occ.T
 
-    occupations = _integrate(occupation_integrand, _breakpoints(leads, specs, lo_u, hi_u),
-                             abs_tol)
+    occupations = _integrate(occupation_integrand, _breakpoints(leads, specs, lo_u, hi_u))
 
     mu1, mu2 = specs[0].mu, specs[1].mu
     qdot1 = -(energy - mu1 * particle)
@@ -175,14 +174,14 @@ def landauer_currents(system: SystemSpec, leads: tuple[SpectralFunction, Spectra
                       occupations=np.atleast_1d(occupations))
 
 
-def transmission_table(system: SystemSpec, leads: tuple[SpectralFunction, SpectralFunction],
-                       points: int = 2001) -> tuple[np.ndarray, np.ndarray]:
+def transmission_table(system: SystemSpec, leads: tuple[SpectralFunction, SpectralFunction]
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """T(w) sampled over the overlap of the lead supports."""
     i1, i2 = system.coupling_sites
     sigmas = (LeadSelfEnergy(leads[0]), LeadSelfEnergy(leads[1]))
     lo = max(leads[0].support[0], leads[1].support[0])
     hi = min(leads[0].support[1], leads[1].support[1])
-    w = np.linspace(lo, hi, points)
+    w = np.linspace(lo, hi, TRANSMISSION_POINTS)
     g = _resolvent(system, sigmas, w)
     t = leads[0](w) * leads[1](w) * np.abs(g[:, i1, i2]) ** 2
     return w, t

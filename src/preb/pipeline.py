@@ -115,7 +115,6 @@ def chain_depth(cfg: RunConfig) -> int:
 class _SetUp:
     """The part of a bundle that neither temperatures nor chemical potentials change."""
 
-    system: SystemSpec
     chains: tuple[ChainCoefficients, ChainCoefficients]
     setup: SetupHamiltonian
     prop: StepPropagator
@@ -131,16 +130,14 @@ def _set_up(cfg: RunConfig, l_b: int) -> _SetUp:
         return entry
     _SETUP_CACHE.clear()  # release the old entry before building the new one
     chains = tuple(_chain_for(sf, l_b, cfg.process) for sf in sfs)
-    system = SystemSpec.two_site(cfg.g)
-    setup = assemble_hamiltonian(system, chains, l_b)
+    setup = assemble_hamiltonian(SystemSpec.two_site(cfg.g), chains, l_b)
     prop = step_propagator(setup, cfg.process.tau)
     radius, rate = stability_rate(prop.g_s, cfg.process.tau)
-    (e1, v1), (e2, v2) = setup.chain_eigensystems
-    for array in (setup.h, *setup.eigensystem, e1, v1, e2, v2, prop.u,
-                  *prop.cycle_operators.arrays()):
+    for array in (setup.h, *setup.eigensystem, prop.u, *prop.cycle_operators.arrays(),
+                  *(a for pair in setup.chains + setup.chain_eigensystems for a in pair)):
         array.setflags(write=False)
-    entry = _SETUP_CACHE[key] = _SetUp(system=system, chains=chains, setup=setup,
-                                       prop=prop, spectral_radius=radius, rate=rate)
+    entry = _SETUP_CACHE[key] = _SetUp(chains=chains, setup=setup, prop=prop,
+                                       spectral_radius=radius, rate=rate)
     return entry
 
 
@@ -154,7 +151,7 @@ def build_bundle(cfg: RunConfig, l_b: Optional[int] = None) -> NessBundle:
     occupations = tuple(fermi_occupation(spec, energies)
                         for spec, (energies, _) in zip(specs, setup.chain_eigensystems))
     p_s = drive_matrix(fixed.prop, *occupations)
-    return NessBundle(cfg=cfg, system=fixed.system, chains=fixed.chains, l_b=l_b,
+    return NessBundle(cfg=cfg, system=setup.system_spec, chains=fixed.chains, l_b=l_b,
                       setup=setup, prop=fixed.prop, specs=specs, occupations=occupations,
                       p_s=p_s, spectral_radius=fixed.spectral_radius, rate=fixed.rate)
 
@@ -179,8 +176,8 @@ def run_trajectory(cfg: RunConfig, steps: int):
         report = bundle.report(c_ness)
     c0 = np.zeros((bundle.setup.l_s, bundle.setup.l_s), dtype=complex)
     traj = preb_trajectory(c0, steps, bundle.prop, bundle.p_s, c_ness=c_ness)
-    thermos = [step_thermodynamics(c, bundle.prop, bundle.occupations, bundle.specs)
-               for c in traj.states[:-1]]
+    thermos = [step_thermodynamics(c, ct, bundle.prop, bundle.occupations, bundle.specs)
+               for c, ct in zip(traj.states[:-1], traj.states[1:])]
     return traj, thermos, report
 
 
@@ -198,14 +195,14 @@ def run_negf(cfg: RunConfig) -> NegfReport:
     return landauer_currents(system, sfs, specs)
 
 
-def chain_size_convergence(cfg: RunConfig, factor: int = 2) -> float:
-    """Relative change of the steady rates when the chains are ``factor`` times longer.
+def chain_size_convergence(cfg: RunConfig) -> float:
+    """Relative change of the steady rates when the chains are twice as long.
 
     The doubling check of validation mode; small values confirm the
     light-cone sizing of the chains.
     """
     base = run_ness(cfg)
-    ref = build_bundle(cfg, l_b=factor * chain_depth(cfg)).report()
+    ref = build_bundle(cfg, l_b=2 * chain_depth(cfg)).report()
     scale = max(abs(ref.qdot[0]), abs(ref.qdot[1]), abs(ref.p_ext), 1e-12)
     return max(abs(base.p_ext - ref.p_ext), abs(base.qdot[0] - ref.qdot[0]),
                abs(base.qdot[1] - ref.qdot[1])) / scale

@@ -28,6 +28,7 @@ from .errors import NoUniqueNessError, NumericsError
 
 UNITARITY_TOL = 1e-10
 RADIUS_MARGIN = 1e-12
+DOUBLING_TOL = 1e-14
 # columns of CycleOperators.bath and entries of CycleOperators.system: per bath,
 # the change of its particle number, of its chain energy and of its coupling energy
 CYCLE_COLUMNS = ("dn1", "dn2", "dh_b1", "dh_b2", "dh_sb1", "dh_sb2")
@@ -82,20 +83,20 @@ class StepPropagator:
 
 def _cycle_operators(prop: StepPropagator) -> CycleOperators:
     setup = prop.setup
-    h, u, l_s, l_b = setup.h, prop.u, setup.l_s, setup.l_b
+    u, l_s, l_b = prop.u, setup.l_s, setup.l_b
+    (eps1, hop1), (eps2, hop2) = setup.chains
     # Each quantity x of CYCLE_COLUMNS reads the evolved state as
     # sum w_x Re ct[i, j] over site pairs (i, j): every chain site with itself
     # (its particle number and on-site energy), every bond of a chain, and each
     # system-chain link; a pair of distinct sites has weight 2 h_ij.
-    eps, sup = np.diagonal(h)[l_s:], np.diagonal(h, 1)[l_s:]
-    links, heads = list(setup.coupling_sites), [setup.bath1.start, setup.bath2.start]
+    links, heads = list(setup.system_spec.coupling_sites), [setup.bath1.start, setup.bath2.start]
     w_site = np.zeros((2 * l_b, len(CYCLE_COLUMNS)))
     w_site[:l_b, 0] = w_site[l_b:, 1] = 1.0
-    w_site[:l_b, 2], w_site[l_b:, 3] = eps[:l_b], eps[l_b:]
+    w_site[:l_b, 2], w_site[l_b:, 3] = eps1, eps2
     w_bond = np.zeros((2 * l_b - 1, len(CYCLE_COLUMNS)))  # the bond between the chains: 0
-    w_bond[:l_b - 1, 2], w_bond[l_b:, 3] = 2.0 * sup[:l_b - 1], 2.0 * sup[l_b:]
+    w_bond[:l_b - 1, 2], w_bond[l_b:, 3] = 2.0 * hop1[1:], 2.0 * hop2[1:]
     w_link = np.zeros((2, len(CYCLE_COLUMNS)))
-    w_link[0, 4], w_link[1, 5] = 2.0 * h[links, heads]
+    w_link[0, 4], w_link[1, 5] = 2.0 * hop1[0], 2.0 * hop2[0]
 
     # source: the system, whose state enters as a full matrix
     z = u[setup.system]
@@ -195,7 +196,7 @@ def solve_dlyap_direct(g_s: np.ndarray, p_s: np.ndarray) -> np.ndarray:
 
 
 def solve_dlyap_doubling(g_s: np.ndarray, p_s: np.ndarray, *,
-                         tol: float = 1e-14, max_doublings: int = 200) -> np.ndarray:
+                         max_doublings: int = 200) -> np.ndarray:
     """Solve the same equation by Smith doubling: P += G^dag P G, G <- G^2.
 
     Converges super-geometrically for any stable G; the reference that the
@@ -208,6 +209,6 @@ def solve_dlyap_doubling(g_s: np.ndarray, p_s: np.ndarray, *,
         update = a.conj().T @ c @ a
         c = c + update
         a = a @ a
-        if np.max(np.abs(update)) < tol * max(1.0, float(np.max(np.abs(c)))):
+        if np.max(np.abs(update)) < DOUBLING_TOL * max(1.0, float(np.max(np.abs(c)))):
             return 0.5 * (c + c.conj().T)
     raise NumericsError(f"doubling iteration did not converge in {max_doublings} steps")

@@ -42,6 +42,8 @@ class SpectralTable:
         values = np.asarray(self.values, dtype=float)
         if omega.ndim != 1 or omega.shape != values.shape or omega.size < 2:
             raise ValueError("table needs matching 1-d omega and J arrays with >= 2 samples")
+        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(values))):
+            raise ValueError("table samples must be finite")
         dw = np.diff(omega)
         if np.any(dw <= 0):
             raise ValueError("table grid must be strictly increasing")
@@ -257,12 +259,14 @@ def read_spectral_table(path) -> SpectralFunction:
     omega, values = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header] != ["omega", "J"]:
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != ["omega", "J"]:
             raise ValueError(f"expected header 'omega,J', got {header!r}")
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise ValueError(f"line {reader.line_num}: expected 'omega,J', got {row!r}")
             omega.append(float(row[0]))
             values.append(float(row[1]))
     return SpectralFunction.tabulated(np.array(omega), np.array(values))

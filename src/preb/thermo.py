@@ -24,6 +24,8 @@ REGIME_REFRIGERATOR = "refrigerator"
 REGIME_DUD = "dud"
 
 DEAD_BAND = 1e-12
+RESIDUAL_TOL = 1e-8  # of the fixed point, relative to max(1, |C|)
+STATIONARITY_TOL = 1e-9  # of dU and dS, relative to the step's largest flow
 
 REPORT_COLUMNS = ["tau", "lambda", "mu", "beta1", "beta2", "P_ext", "P_chem",
                   "Q1", "Q2", "N1", "sigma", "regime", "eta", "eta_c",
@@ -84,24 +86,26 @@ def curzon_ahlborn_efficiency(beta1: float, beta2: float) -> float:
 
 
 def ness_rates(c_s_ness: np.ndarray, prop: StepPropagator, p_s: np.ndarray,
-               occupations: Sequence[np.ndarray], specs: Sequence[BathThermalSpec], *,
-               residual_tol: float = 1e-8, stationarity_tol: float = 1e-9) -> NessReport:
+               occupations: Sequence[np.ndarray],
+               specs: Sequence[BathThermalSpec]) -> NessReport:
     """Per-cycle thermodynamics at the steady state, divided by the cycle time.
 
     ``occupations`` are the Fermi factors (f1, f2) of the chains' eigenmodes,
-    as in ``step_thermodynamics``.  Verifies that the input really is the fixed
-    point, that internal energy and entropy are stationary and that the entropy
-    production is not negative before reporting rates.
+    as in ``step_thermodynamics``.  The map is applied once: its image shows
+    that the input really is the fixed point and feeds the accounting, which
+    must find internal energy and entropy stationary and the entropy
+    production not negative before rates are reported.
     """
     tau = prop.tau
-    residual = float(np.max(np.abs(preb_step(c_s_ness, prop, p_s) - c_s_ness)))
-    if residual > residual_tol * max(1.0, float(np.max(np.abs(c_s_ness)))):
+    c_next = preb_step(c_s_ness, prop, p_s)
+    residual = float(np.max(np.abs(c_next - c_s_ness)))
+    if residual > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(c_s_ness)))):
         raise NumericsError(f"state is not a fixed point of the cycle map: residual {residual:.3e}")
-    st = step_thermodynamics(c_s_ness, prop, occupations, specs)
+    st = step_thermodynamics(c_s_ness, c_next, prop, occupations, specs)
     scale = max(abs(st.dh_b[0]), abs(st.dh_b[1]), abs(st.w_ext), abs(st.q[0]),
                 abs(st.q[1]), 1e-12)
     # the absolute floor covers roundoff at points where every rate vanishes
-    floor = stationarity_tol * scale + 1e-12
+    floor = STATIONARITY_TOL * scale + 1e-12
     if abs(st.du) > floor or abs(st.ds) > floor:
         raise NumericsError(
             f"steady state not stationary: dU={st.du:.3e}, dS={st.ds:.3e}, scale={scale:.3e}")
@@ -123,7 +127,7 @@ def ness_rates(c_s_ness: np.ndarray, prop: StepPropagator, p_s: np.ndarray,
     return report
 
 
-def classify_regime(report: NessReport, dead_band: float = DEAD_BAND) -> NessReport:
+def classify_regime(report: NessReport) -> NessReport:
     """Label the point heat-engine / refrigerator / dud and fill the figures of merit.
 
     Strict sign tests with a small dead band so numerical zeros are not labeled
@@ -136,7 +140,7 @@ def classify_regime(report: NessReport, dead_band: float = DEAD_BAND) -> NessRep
     report.eta_ca = curzon_ahlborn_efficiency(report.beta1, report.beta2)
     q1, q2 = report.qdot
     # the absolute reference 1.0 (units of g) keeps cancellation noise out of the regimes
-    band = dead_band * max(abs(q1), abs(q2), abs(report.p), 1.0)
+    band = DEAD_BAND * max(abs(q1), abs(q2), abs(report.p), 1.0)
     report.eta = None
     report.cop = None
     if report.p < -band and q1 < -band:

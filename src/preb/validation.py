@@ -16,8 +16,8 @@ import numpy as np
 from .chainmap import chain_map_recursion, chain_map_tridiag
 from .config import (BathConfig, ProcessConfig, RunConfig, heat_engine_preset,
                      refrigerator_preset)
-from .dynamics import cumulative_thermo, preb_trajectory, step_thermodynamics
-from .pipeline import build_bundle, run_negf, run_ness
+from .dynamics import cumulative_thermo
+from .pipeline import build_bundle, run_negf, run_ness, run_trajectory
 from .spectral import SpectralFunction
 from .sweeps import apply_axis
 from .thermo import (REGIME_HEAT_ENGINE, carnot_cop, carnot_efficiency,
@@ -264,12 +264,7 @@ def criterion_9(shared: _Shared) -> CriterionResult:
 def criterion_10(shared: _Shared) -> CriterionResult:
     """Per-step laws along a cold-start trajectory, and its rates at convergence."""
     cfg = heat_engine_preset()
-    bundle = build_bundle(cfg)
-    c_ness = bundle.solve_ness()
-    c0 = np.zeros_like(c_ness)
-    traj = preb_trajectory(c0, 200, bundle.prop, bundle.p_s, c_ness=c_ness)
-    steps = [step_thermodynamics(c, bundle.prop, bundle.occupations, bundle.specs)
-             for c in traj.states[:-1]]
+    _, steps, report = run_trajectory(cfg, 200)
     worst_first_law = 0.0
     worst_sigma = 0.0
     worst_closure = 0.0
@@ -280,7 +275,6 @@ def criterion_10(shared: _Shared) -> CriterionResult:
         energy_closure = abs(st.du + sum(st.dh_b) + sum(st.dh_sb))
         particle_closure = abs(st.dn_s + st.dn[0] + st.dn[1])
         worst_closure = max(worst_closure, energy_closure, particle_closure)
-    report = bundle.report(c_ness)
     tail = cumulative_thermo(steps[180:], cfg.process.tau)
     rate_err = max(abs(tail.p_ext - report.p_ext) / abs(report.p_ext),
                    abs(tail.qdot[0] - report.qdot[0]) / abs(report.qdot[0]),

@@ -86,22 +86,10 @@ class TestAssemble:
         system = SystemSpec.two_site(1.0)
         with pytest.raises(ValueError):
             assemble_hamiltonian(system, [toy_chain([0.0], [1.0])], 1)
-
-    def test_structure_validation(self):
-        good = assemble_hamiltonian(SystemSpec.two_site(1.0),
-                                    [toy_chain([0.0, 0.0], [1.0, 3.0])] * 2, 2)
-        h = good.h.copy()
-        h[2, 4] = h[4, 2] = 0.5  # bath 1 touching bath 2
-        with pytest.raises(ValueError, match="must not couple"):
-            SetupHamiltonian(h=h, l_s=2, l_b=2, coupling_sites=(0, 1))
-        h = good.h.copy()
-        h[2, 3] = 0.1  # asymmetric entry
-        with pytest.raises(ValueError, match="symmetric"):
-            SetupHamiltonian(h=h, l_s=2, l_b=2, coupling_sites=(0, 1))
-        h = good.h.copy()
-        h[1, 2] = h[2, 1] = 0.3  # second system site touching chain 1 head
-        with pytest.raises(ValueError, match="first chain site"):
-            SetupHamiltonian(h=h, l_s=2, l_b=2, coupling_sites=(0, 1))
+        with pytest.raises(ValueError, match="common length"):
+            SetupHamiltonian(system, ((np.zeros(3), np.ones(3)), (np.zeros(2), np.ones(2))))
+        with pytest.raises(ValueError, match="common length"):
+            SetupHamiltonian(system, ((np.zeros(3), np.ones(2)), (np.zeros(3), np.ones(3))))
 
 
 class TestThermalCorrelation:

@@ -111,7 +111,8 @@ class TestConfigParsing:
         "[process]\ndepth = 0\n",
         "[process]\nmethod = tridiag\n",     # removed key
         "[process]\ngrid_points = 8192\n",  # removed key
-    ], ids=["beta", "tau", "l0", "depth", "method", "grid_points"])
+        "[process]\ntau_r_factor = 0\n",
+    ], ids=["beta", "tau", "l0", "depth", "method", "grid_points", "tau_r_factor"])
     def test_invalid_physics_rejected(self, tmp_path, text):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -277,6 +278,21 @@ class TestCli:
         assert cli.main(["ness", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
+
+    @pytest.mark.parametrize("rows", [
+        "omega,J\n-6,1\n0,nan\n6,1\n",
+        "omega,J\n-6,1\n0,inf\n6,1\n",
+        "omega,J\n-6,1\n0\n6,1\n",
+        "",
+    ], ids=["nan", "inf", "short-row", "empty"])
+    def test_malformed_spectral_table_exit_code(self, tmp_path, capsys, rows):
+        table = tmp_path / "bad.csv"
+        table.write_text(rows)
+        path = tmp_path / "run.ini"
+        path.write_text(f"[bath1]\nkind = tabulated\ntable = {table}\n")
+        assert cli.main(["ness", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(table) in err
 
     @pytest.mark.parametrize("mu", ["1e308", "1000"])
     def test_huge_mu_exit_code(self, tmp_path, capsys, mu):

@@ -16,6 +16,12 @@ from preb.sweeps import apply_axis
 from preb.thermo import ness_rates
 
 
+def account(c_s, bundle) -> StepThermo:
+    """The accounting of one cycle of ``bundle`` from ``c_s``, its successor made by the map."""
+    return step_thermodynamics(c_s, preb_step(c_s, bundle.prop, bundle.p_s), bundle.prop,
+                               bundle.occupations, bundle.specs)
+
+
 def random_system_state(rng, n=2):
     """Hermitian matrix with eigenvalues in (0, 1): a valid occupation matrix."""
     w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -188,8 +194,7 @@ class TestStepThermodynamics:
             rng = np.random.default_rng(11)
             for _ in range(4):
                 c = random_system_state(rng)
-                got = _fields(step_thermodynamics(c, bundle.prop, bundle.occupations,
-                                                  bundle.specs))
+                got = _fields(account(c, bundle))
                 want = _fields(dense_step_thermodynamics(c, bundle.prop, bundle.specs))
                 scale = max(abs(x) for x in want.values())
                 for name, x in want.items():
@@ -199,8 +204,7 @@ class TestStepThermodynamics:
         rng = np.random.default_rng(9)
         for _ in range(4):
             c = random_system_state(rng)
-            st = step_thermodynamics(c, engine_bundle.prop, engine_bundle.occupations,
-                                     engine_bundle.specs)
+            st = account(c, engine_bundle)
             scale = max(abs(st.w), abs(st.q[0]), abs(st.q[1]), abs(st.du), 1.0)
             assert st.first_law_defect < 1e-9 * scale
             assert abs(st.du + sum(st.dh_b) + sum(st.dh_sb)) < 1e-10
@@ -209,8 +213,7 @@ class TestStepThermodynamics:
     def test_entropy_production_nonnegative(self, engine_bundle):
         rng = np.random.default_rng(10)
         for _ in range(4):
-            st = step_thermodynamics(random_system_state(rng), engine_bundle.prop,
-                                     engine_bundle.occupations, engine_bundle.specs)
+            st = account(random_system_state(rng), engine_bundle)
             assert st.sigma > -1e-10
 
     def test_filled_band_equilibrium_is_silent(self):
@@ -219,7 +222,7 @@ class TestStepThermodynamics:
             bath1=engine_config().bath1.__class__(lam=0.2, beta=1.0, mu=1e4),
             bath2=engine_config().bath2.__class__(lam=0.2, omega0=-1.0, beta=1.0, mu=1e4)))
         c_s = np.eye(2, dtype=complex)
-        st = step_thermodynamics(c_s, bundle.prop, bundle.occupations, bundle.specs)
+        st = account(c_s, bundle)
         assert abs(st.sigma) < 1e-9
         assert abs(st.q[0]) < 1e-9 and abs(st.q[1]) < 1e-9
 
@@ -228,8 +231,7 @@ class TestStepThermodynamics:
         cfg = cfg.replace(bath1=cfg.bath1.__class__(lam=0.2, beta=1e-12, mu=0.0),
                           bath2=cfg.bath2.__class__(lam=0.2, omega0=-1.0, beta=1e-12, mu=0.0))
         bundle = build_bundle(cfg)
-        st = step_thermodynamics(0.5 * np.eye(2, dtype=complex), bundle.prop,
-                                 bundle.occupations, bundle.specs)
+        st = account(0.5 * np.eye(2, dtype=complex), bundle)
         assert abs(st.sigma) < 1e-9
 
     def test_equal_baths_still_dissipate_switching_work(self):
@@ -238,14 +240,13 @@ class TestStepThermodynamics:
         cfg = cfg.replace(bath1=cfg.bath1.__class__(lam=0.2, beta=1.0, mu=-2.0))
         bundle = build_bundle(cfg)
         c_s = thermal_correlation(bundle.system.h_s, bundle.specs[0]).astype(complex)
-        st = step_thermodynamics(c_s, bundle.prop, bundle.occupations, bundle.specs)
+        st = account(c_s, bundle)
         assert st.sigma > 1e-3  # genuinely positive, not a numerical zero
 
 
 class TestCumulative:
     def test_single_step_totals(self, engine_bundle):
-        st = step_thermodynamics(np.zeros((2, 2)), engine_bundle.prop,
-                                 engine_bundle.occupations, engine_bundle.specs)
+        st = account(np.zeros((2, 2)), engine_bundle)
         tot = cumulative_thermo([st], tau=1.0)
         assert tot.w_ext == st.w_ext
         assert tot.q == st.q
@@ -259,8 +260,7 @@ class TestCumulative:
         c = np.zeros((2, 2), dtype=complex)
         running = 0.0
         for _ in range(25):
-            st = step_thermodynamics(c, engine_bundle.prop, engine_bundle.occupations,
-                                     engine_bundle.specs)
+            st = account(c, engine_bundle)
             assert st.sigma > -1e-10
             running_next = running + st.sigma
             assert running_next >= running - 1e-10
@@ -271,8 +271,7 @@ class TestCumulative:
         c = engine_bundle.solve_ness()
         steps = []
         for _ in range(5):
-            steps.append(step_thermodynamics(c, engine_bundle.prop,
-                                             engine_bundle.occupations, engine_bundle.specs))
+            steps.append(account(c, engine_bundle))
             c = preb_step(c, engine_bundle.prop, engine_bundle.p_s)
         tot = cumulative_thermo(steps, tau=engine_bundle.prop.tau)
         rep = ness_rates(engine_bundle.solve_ness(), engine_bundle.prop,
@@ -291,8 +290,7 @@ def test_global_entropy_identity(engine_bundle):
     c = np.zeros((2, 2), dtype=complex)
     steps = []
     for _ in range(30):
-        steps.append(step_thermodynamics(c, engine_bundle.prop, engine_bundle.occupations,
-                                         engine_bundle.specs))
+        steps.append(account(c, engine_bundle))
         c = preb_step(c, engine_bundle.prop, engine_bundle.p_s)
     tot = cumulative_thermo(steps, tau=1.0)
     beta1, beta2 = (s.beta for s in engine_bundle.specs)
@@ -306,8 +304,7 @@ def test_trajectory_csv_format(engine_bundle):
     c0 = np.zeros((2, 2), dtype=complex)
     traj = preb_trajectory(c0, 3, engine_bundle.prop, engine_bundle.p_s,
                            c_ness=engine_bundle.solve_ness())
-    steps = [step_thermodynamics(c, engine_bundle.prop, engine_bundle.occupations,
-                                 engine_bundle.specs) for c in traj.states[:-1]]
+    steps = [account(c, engine_bundle) for c in traj.states[:-1]]
     buf = io.StringIO()
     trajectory_to_csv(buf, steps, traj.dist_to_ness[1:])
     lines = buf.getvalue().strip().splitlines()

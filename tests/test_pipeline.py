@@ -1,10 +1,13 @@
 import dataclasses
+import sys
 
 import pytest
 
 from conftest import engine_config
+from preb.dynamics import preb_step
 from preb.pipeline import (build_bundle, chain_depth, chain_size_convergence,
                            clear_caches, run_ness, run_trajectory)
+from preb.propagator import drive_matrix
 from preb.sweeps import apply_axis
 
 
@@ -48,6 +51,36 @@ class TestTrajectoryRun:
         assert rep1.csv_row() == rep2.csv_row()
 
 
+class TestWorkPerPoint:
+    """A point builds one drive matrix, and each state meets the cycle map once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Call counts of ``drive_matrix`` and ``preb_step``, wrapped at every binding."""
+        counts = {}
+        for fn in (drive_matrix, preb_step):
+            counts[fn.__name__] = 0
+
+            def counted(*args, _fn=fn, **kwargs):
+                counts[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name == "preb" or name.startswith("preb."):
+                    for key, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, key, counted)
+        return counts
+
+    def test_steady_state(self, calls):
+        run_ness(engine_config())
+        assert calls == {"drive_matrix": 1, "preb_step": 1}
+
+    def test_trajectory(self, calls):
+        run_trajectory(engine_config(), 50)  # 50 steps, plus the report's residual check
+        assert calls == {"drive_matrix": 1, "preb_step": 51}
+
+
 def _with_process(cfg, **changes):
     return cfg.replace(process=dataclasses.replace(cfg.process, **changes))
 
@@ -87,7 +120,8 @@ class TestSetUpCache:
     def test_cached_arrays_are_read_only(self):
         bundle = build_bundle(engine_config())
         setup = bundle.setup
-        arrays = [setup.h, bundle.prop.u, bundle.prop.g_s, *setup.eigensystem,
+        arrays = [*(a for chain in setup.chains for a in chain),
+                  setup.h, bundle.prop.u, bundle.prop.g_s, *setup.eigensystem,
                   *(a for es in setup.chain_eigensystems for a in es),
                   *bundle.prop.cycle_operators.arrays()]
         for array in arrays:

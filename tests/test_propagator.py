@@ -4,6 +4,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from conftest import decoupled_bundle_pieces
+from preb.builder import SetupHamiltonian, SystemSpec
 from preb.errors import NoUniqueNessError, NumericsError
 from preb.propagator import (drive_matrix, solve_dlyap_direct, solve_dlyap_doubling,
                              stability_rate, step_propagator)
@@ -15,12 +16,14 @@ class TestStepPropagator:
         assert_allclose(prop.u, np.eye(engine_bundle.setup.n_sites), atol=1e-14)
 
     def test_diagonal_hamiltonian(self):
-        setup, _, _ = decoupled_bundle_pieces(l_b=3)
-        setup.h[0, 1] = setup.h[1, 0] = 0.0  # fully diagonal apart from chain hops
-        d = np.diag(np.diag(setup.h))
-        setup_diag = type(setup)(h=d, l_s=2, l_b=3, coupling_sites=(0, 1))
-        prop = step_propagator(setup_diag, 0.7)
-        assert_allclose(np.diag(prop.u), np.exp(-1j * np.diag(d) * 0.7), atol=1e-14)
+        """No hopping anywhere: U is the diagonal of phases exp(-i e tau)."""
+        system = SystemSpec(h_s=np.diag([0.2, -0.4]), coupling_sites=(0, 1))
+        chain = (np.array([0.3, -0.5, 1.1]), np.zeros(3))
+        setup = SetupHamiltonian(system, (chain, chain))
+        d = np.diag(setup.h)
+        assert_allclose(d, [0.2, -0.4, 0.3, -0.5, 1.1, 0.3, -0.5, 1.1], atol=0)
+        prop = step_propagator(setup, 0.7)
+        assert_allclose(np.diag(prop.u), np.exp(-1j * d * 0.7), atol=1e-14)
         assert_allclose(prop.u - np.diag(np.diag(prop.u)), 0.0, atol=1e-14)
 
     def test_group_property(self, engine_bundle):

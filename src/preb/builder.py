@@ -142,8 +142,6 @@ def assemble_hamiltonian(system: SystemSpec,
 
     Chains shorter than ``l_b`` are padded with their asymptotic coefficients.
     """
-    if l_b < 1:
-        raise ValueError("l_b must be >= 1")
     return SetupHamiltonian(system, tuple(chain.padded(l_b) for chain in chains))
 
 

@@ -105,6 +105,8 @@ class ChainCoefficients:
 
     def padded(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """(eps, hop) arrays of the requested length, padded with the asymptotics."""
+        if length < 1:
+            raise ValueError(f"chain length must be >= 1, got {length}")
         if length <= self.depth:
             return self.eps[:length].copy(), self.hop[:length].copy()
         pad = length - self.depth

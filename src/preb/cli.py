@@ -39,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("config", help="INI configuration file")
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument("--l0", type=int, help="override the chain-length offset L_0")
-        p.add_argument("--depth", type=int, help="override the chain depth")
+        p.add_argument("--depth", type=int,
+                       help="override the chain length l_b (at least ceil(g_B tau))")
 
     p_ness = sub.add_parser("ness", help="solve one point and print its report row")
     add_common(p_ness)

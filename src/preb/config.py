@@ -48,7 +48,7 @@ class ProcessConfig:
     tau: float = 1.0
     l_0: int = 5
     tau_r_factor: float = 10.0
-    depth: Optional[int] = None      # override the chain depth chosen from tau
+    depth: Optional[int] = None      # override the chain length l_b chosen from tau
     n_modes: Optional[int] = None    # override the discretization size
 
 

@@ -3,8 +3,13 @@
 The pipeline is deterministic for a fixed configuration, and it keeps two
 process-wide caches, both emptied by ``clear_caches()``:
 
-- chain maps, per (spectral function, depth, discretization size), so sweeps
-  that share a bath do not recompute them;
+- chain maps, per (spectral function, discretization size).  Each bath is
+  mapped once, to the fixed depth ``MAP_DEPTH``, and every set-up cuts or pads
+  that map to its chain length l_b, so a tau sweep maps each bath once.  The
+  entry also holds the bath's light-cone speed g_B, the tail hopping of the
+  map's first ``SIZING_WINDOW`` sites, so sizing a chain is a lookup.  Only a
+  bath whose tail has not settled by ``MAP_DEPTH`` is mapped to l_b > MAP_DEPTH
+  on its own, uncached;
 - one set-up: its chains, Hamiltonian with eigensystem, chain eigensystems,
   propagator with its cycle operators, and stability, keyed by (both spectral
   functions, discretization size, chain length, g, tau).  None of these
@@ -35,7 +40,8 @@ from .propagator import (StepPropagator, drive_matrix, solve_dlyap_direct,
 from .spectral import BathThermalSpec, SpectralFunction, fermi_occupation
 from .thermo import NessReport, classify_regime, ness_rates
 
-PROBE_DEPTH = 16
+MAP_DEPTH = 128     # D: the depth every bath is mapped to, then cut or padded
+SIZING_WINDOW = 16  # g_B is the tail hopping of the map's first this many sites
 
 _CHAIN_CACHE: dict = {}
 _SETUP_CACHE: dict = {}  # at most one entry: a tau = 500 propagator alone is 145 MB
@@ -46,18 +52,40 @@ def clear_caches() -> None:
     _SETUP_CACHE.clear()
 
 
-def _chain_for(sf: SpectralFunction, depth: int,
-               process: ProcessConfig) -> ChainCoefficients:
-    n_modes = process.n_modes
+@dataclass(frozen=True)
+class _BathMap:
+    chain: ChainCoefficients  # mapped to MAP_DEPTH sites
+    g_b: float                # light-cone speed, from the first SIZING_WINDOW sites
+
+
+def _map(sf: SpectralFunction, depth: int, n_modes: Optional[int]) -> ChainCoefficients:
     if n_modes is not None and n_modes < MIN_MODES_PER_SITE * depth:
         raise ConfigError(
-            f"process.n_modes = {n_modes} is too small for chain depth {depth}: "
+            f"process.n_modes = {n_modes} is too small to map a bath to depth {depth}: "
             f"need at least {MIN_MODES_PER_SITE * depth}")
-    key = (sf, depth, n_modes)
-    chain = _CHAIN_CACHE.get(key)
-    if chain is None:
-        chain = _CHAIN_CACHE[key] = chain_map_tridiag(sf, depth, n_modes=n_modes)
-    return chain
+    return chain_map_tridiag(sf, depth, n_modes=n_modes)
+
+
+def _bath_map(sf: SpectralFunction, process: ProcessConfig) -> _BathMap:
+    key = (sf, process.n_modes)
+    entry = _CHAIN_CACHE.get(key)
+    if entry is None:
+        chain = _map(sf, MAP_DEPTH, process.n_modes)
+        window = ChainCoefficients(chain.eps[:SIZING_WINDOW], chain.hop[:SIZING_WINDOW])
+        entry = _CHAIN_CACHE[key] = _BathMap(chain, window.hop_asym)
+    return entry
+
+
+def _chain_for(sf: SpectralFunction, l_b: int, process: ProcessConfig) -> ChainCoefficients:
+    """The bath's chain for a set-up of ``l_b`` sites, to be cut or padded to it.
+
+    That is the cached map, unless its tail has not settled and ``l_b``
+    reaches past it: then the bath is mapped to ``l_b`` itself.
+    """
+    chain = _bath_map(sf, process).chain
+    if l_b <= MAP_DEPTH or chain.tail_converged():
+        return chain
+    return _map(sf, l_b, process.n_modes)
 
 
 @dataclass
@@ -103,12 +131,21 @@ class NessBundle:
 
 
 def chain_depth(cfg: RunConfig) -> int:
-    """Chain length: the configured override, or ceil(g_B tau) + L_0 from a probe map."""
-    if cfg.process.depth is not None:
-        return cfg.process.depth
-    g_b = max(_chain_for(bath.spectral_function(), PROBE_DEPTH, cfg.process).hop_asym
+    """Chain length l_b: ceil(g_B tau) + L_0, or the configured override.
+
+    An override may not cut into the light cone ceil(g_B tau), the sites a
+    cycle of length tau reaches; g_B comes from the cached bath maps.
+    """
+    process = cfg.process
+    g_b = max(_bath_map(bath.spectral_function(), process).g_b
               for bath in (cfg.bath1, cfg.bath2))
-    return chain_length_for_tau(g_b, cfg.process.tau, cfg.process.l_0)
+    if process.depth is None:
+        return chain_length_for_tau(g_b, process.tau, process.l_0)
+    light_cone = chain_length_for_tau(g_b, process.tau, 0)
+    if process.depth < light_cone:
+        raise ConfigError(f"process.depth = {process.depth} is below the light cone "
+                          f"ceil(g_B tau) = {light_cone} of tau = {process.tau:g}")
+    return process.depth
 
 
 @dataclass(frozen=True)
@@ -182,8 +219,10 @@ def run_trajectory(cfg: RunConfig, steps: int):
 
 
 def run_chainmap(cfg: RunConfig) -> tuple[ChainCoefficients, ChainCoefficients]:
+    """Each bath's chain as the set-up uses it: ``l_b`` sites, cut or padded."""
     l_b = chain_depth(cfg)
-    return tuple(_chain_for(bath.spectral_function(), l_b, cfg.process)
+    return tuple(ChainCoefficients(*_chain_for(bath.spectral_function(), l_b,
+                                               cfg.process).padded(l_b))
                  for bath in (cfg.bath1, cfg.bath2))
 
 

@@ -218,6 +218,12 @@ class TestChainCoefficients:
         assert_allclose(eps_s, cc.eps[:5])
         assert_allclose(hop_s, cc.hop[:5])
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_padding_rejects_an_empty_chain(self, length):
+        cc = ChainCoefficients(eps=np.zeros(3), hop=np.ones(3))
+        with pytest.raises(ValueError, match="length"):
+            cc.padded(length)
+
     def test_all_coefficients_positive_and_finite(self):
         for sf in (NARROW, FLAT, SpectralFunction.lorentzian(2.0, 1.0, -1.0, 6.0)):
             cc = chain_map_tridiag(sf, 30)

@@ -345,9 +345,10 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["ness", "--depth", "0"], "process.depth"),
+        (["ness", "--depth", "3"], "process.depth = 3 is below the light cone"),
         (["ness", "--l0", "-1"], "process.l0"),
         (["trajectory", "--steps", "0"], "--steps"),
-    ], ids=["depth-0", "l0-negative", "steps-0"])
+    ], ids=["depth-0", "depth-below-light-cone", "l0-negative", "steps-0"])
     def test_invalid_override_exit_code(self, engine_ini, capsys, argv, message):
         assert cli.main([argv[0], engine_ini, *argv[1:]]) == 2
         err = capsys.readouterr().err
@@ -368,6 +369,12 @@ class TestCli:
         assert cli.main(["sweep", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
+
+    def test_depth_at_the_light_cone_is_legal(self, tmp_path):
+        """At tau = 1 the light cone ceil(g_B tau) is 4 sites: a 4-site chain runs."""
+        path = tmp_path / "shallow.ini"
+        path.write_text(ENGINE_INI + "depth = 4\n")
+        assert cli.main(["ness", str(path)]) == 0
 
     def test_depth_and_l0_overrides(self, engine_ini):
         from preb.pipeline import build_bundle

@@ -1,14 +1,34 @@
 import dataclasses
+import logging
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import engine_config
+from conftest import engine_config, write_spectral_table
+from preb.chainmap import chain_map_tridiag
+from preb.config import BathConfig, parse_config
 from preb.dynamics import preb_step
-from preb.pipeline import (build_bundle, chain_depth, chain_size_convergence,
+from preb.pipeline import (MAP_DEPTH, build_bundle, chain_depth, chain_size_convergence,
                            clear_caches, run_ness, run_trajectory)
 from preb.propagator import drive_matrix
-from preb.sweeps import apply_axis
+from preb.sweeps import apply_axis, run_sweep, sweep_values
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _wrap_at_every_binding(monkeypatch, fn, record):
+    """Replace ``fn`` at every ``preb.*`` binding by a wrapper that calls ``record`` first."""
+    def wrapped(*args, **kwargs):
+        record(*args, **kwargs)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "preb" or name.startswith("preb."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapped)
 
 
 class TestSizing:
@@ -18,6 +38,13 @@ class TestSizing:
         assert base == chain_depth(cfg)  # deterministic, cached
         longer = cfg.replace(process=dataclasses.replace(cfg.process, tau=2.0))
         assert chain_depth(longer) > base
+
+    def test_heat_engine_depths(self):
+        """The light-cone speed comes from the first 16 sites of the depth-128 map."""
+        assert chain_depth(engine_config(tau=50.0)) == 156
+        cfg = parse_config(CONFIGS / "sweep_tau.ini")
+        taus = sweep_values(cfg.sweep)
+        assert sum(chain_depth(apply_axis(cfg, "tau", tau)) for tau in taus) == 642
 
     def test_explicit_depth_override(self):
         cfg = engine_config()
@@ -61,15 +88,10 @@ class TestWorkPerPoint:
         for fn in (drive_matrix, preb_step):
             counts[fn.__name__] = 0
 
-            def counted(*args, _fn=fn, **kwargs):
-                counts[_fn.__name__] += 1
-                return _fn(*args, **kwargs)
+            def count(*args, _name=fn.__name__, **kwargs):
+                counts[_name] += 1
 
-            for name, module in list(sys.modules.items()):
-                if name == "preb" or name.startswith("preb."):
-                    for key, value in list(vars(module).items()):
-                        if value is fn:
-                            monkeypatch.setattr(module, key, counted)
+            _wrap_at_every_binding(monkeypatch, fn, count)
         return counts
 
     def test_steady_state(self, calls):
@@ -79,6 +101,52 @@ class TestWorkPerPoint:
     def test_trajectory(self, calls):
         run_trajectory(engine_config(), 50)  # 50 steps, plus the report's residual check
         assert calls == {"drive_matrix": 1, "preb_step": 51}
+
+
+class TestChainMaps:
+    """Each bath is mapped once, to ``MAP_DEPTH``, and cut or padded to every l_b."""
+
+    @pytest.fixture
+    def map_depths(self, monkeypatch):
+        """The depth of every ``chain_map_tridiag`` call, from cold caches."""
+        clear_caches()
+        depths = []
+        _wrap_at_every_binding(monkeypatch, chain_map_tridiag,
+                               lambda sf, depth, **kwargs: depths.append(depth))
+        return depths
+
+    def test_tau_sweep_maps_each_bath_once(self, map_depths):
+        rows = run_sweep(parse_config(CONFIGS / "sweep_tau.ini"))
+        assert len(rows) == 40 and all(row.error is None for row in rows)
+        assert map_depths == [MAP_DEPTH, MAP_DEPTH]
+
+    def test_deep_point_maps_each_bath_once(self, map_depths):
+        bundle = build_bundle(engine_config(tau=50.0))
+        assert bundle.l_b == 156
+        assert map_depths == [MAP_DEPTH, MAP_DEPTH]
+
+    def test_unsettled_tail_is_mapped_to_the_chain_length(self, map_depths, tmp_path):
+        """Two bands with a gap: the hoppings alternate and never settle."""
+        omega = np.linspace(-3.0, 3.0, 601)
+        write_spectral_table(tmp_path / "gapped.csv", omega, (abs(omega) >= 1.0) * 1.0)
+        cfg = engine_config(tau=80.0)
+        cfg = cfg.replace(bath1=BathConfig(kind="tabulated", table=str(tmp_path / "gapped.csv")))
+        l_b = chain_depth(cfg)
+        assert l_b > MAP_DEPTH and set(map_depths) == {MAP_DEPTH}
+        bundle = build_bundle(cfg)
+        assert [chain.depth for chain in bundle.chains] == [l_b, MAP_DEPTH]
+        assert not bundle.chains[0].tail_converged()
+        assert map_depths.count(l_b) == 1
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
+    def test_shipped_baths_settle_within_the_map(self, path, caplog):
+        clear_caches()
+        with caplog.at_level(logging.INFO, logger="preb.chainmap"):
+            bundle = build_bundle(parse_config(path))
+        assert [chain.depth for chain in bundle.chains] == [MAP_DEPTH, MAP_DEPTH]
+        assert all(chain.tail_converged() for chain in bundle.chains)
+        # neither "chain tail not settled" nor "resuming with CGS2"
+        assert [r.getMessage() for r in caplog.records if r.name == "preb.chainmap"] == []
 
 
 def _with_process(cfg, **changes):
@@ -108,7 +176,7 @@ class TestSetUpCache:
         lambda cfg: apply_axis(cfg, "tau", 1.1),
         lambda cfg: apply_axis(cfg, "lambda", 0.06),
         lambda cfg: _with_process(cfg, depth=10),
-        lambda cfg: _with_process(cfg, n_modes=1000),
+        lambda cfg: _with_process(cfg, n_modes=7000),
         lambda cfg: cfg.replace(g=1.1),
     ], ids=["tau", "lambda", "depth", "n_modes", "g"])
     def test_set_up_inputs_miss_the_cache(self, change):

@@ -21,7 +21,7 @@ from .negf import LeadSelfEnergy, NegfReport, landauer_currents, transmission_ta
 from .pipeline import (NessBundle, build_bundle, chain_depth,
                        chain_size_convergence, run_chainmap, run_negf, run_ness,
                        run_trajectory)
-from .propagator import (StepPropagator, drive_matrix, solve_dlyap_direct,
+from .propagator import (CycleMap, cycle_map, drive_matrix, solve_dlyap_direct,
                          solve_dlyap_doubling, stability_rate, step_propagator)
 from .spectral import (BathThermalSpec, SpectralFunction, SpectralTable,
                        fermi_occupation, frequency_grid, hilbert_transform,

@@ -152,7 +152,7 @@ def thermal_correlation(h_b: np.ndarray, spec: BathThermalSpec) -> np.ndarray:
     its Fermi factor; the result is Hermitian, commutes with the block, and has
     eigenvalues exactly {f(e_k)}.  The pipeline never forms this dense matrix:
     it keeps the Fermi factors (``NessBundle.occupations``) and applies them to
-    the set-up's cycle operators.
+    the set-up's ``CycleMap``.
     """
     h_b = np.asarray(h_b, dtype=float)
     if np.max(np.abs(h_b - h_b.T)) > SYMMETRY_TOL:

@@ -68,7 +68,8 @@ class ChainCoefficients:
     system-chain coupling g_0 and ``hop[p]`` connects sites p and p+1.  The
     asymptotic pair (eps_asym, hop_asym) is the tail average; ``residual`` holds
     the spectral function left over at the truncation depth when the producing
-    route provides one.
+    route provides one.  The coefficient arrays are read-only copies, so a
+    cached chain cannot be edited under the set-ups that share it.
     """
 
     eps: np.ndarray
@@ -79,8 +80,8 @@ class ChainCoefficients:
     residual: Optional[SpectralTable] = None
 
     def __post_init__(self):
-        eps = np.asarray(self.eps, dtype=float)
-        hop = np.asarray(self.hop, dtype=float)
+        eps = np.array(self.eps, dtype=float)
+        hop = np.array(self.hop, dtype=float)
         if eps.ndim != 1 or hop.ndim != 1 or eps.size != hop.size or eps.size == 0:
             raise ValueError("eps and hop must be 1-d arrays of equal nonzero length")
         if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(hop))):
@@ -88,8 +89,9 @@ class ChainCoefficients:
         if np.any(hop <= 0):
             p = int(np.argmax(hop <= 0))
             raise ValueError(f"non-positive hopping at p={p}: the chain decouples")
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "hop", hop)
+        for name, array in (("eps", eps), ("hop", hop)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         if self.eps_asym is None:
             ea, ha, dev = _tail_stats(eps, hop)
             object.__setattr__(self, "eps_asym", ea)

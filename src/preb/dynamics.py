@@ -9,7 +9,7 @@ production reads Sigma = sum_l beta_l Q_l - dS and is non-negative.
 The chains enter each cycle thermal, described by the Fermi factors of their
 eigenmodes.  ``preb_step`` applies the cycle map; the per-step accounting
 reads a state and the successor the map made from it, and applies them and
-the Fermi factors to the set-up's ``CycleOperators``, so a step costs O(l_b).
+the Fermi factors to the set-up's ``CycleMap``, so a step costs O(l_b).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .propagator import StepPropagator
+from .propagator import CycleMap
 from .spectral import BathThermalSpec
 
 ENTROPY_CLIP = 1e-14
@@ -36,9 +36,9 @@ def gaussian_entropy(c_s: np.ndarray) -> float:
     return float(-np.sum(occ * np.log(occ) + (1.0 - occ) * np.log(1.0 - occ)))
 
 
-def preb_step(c_s: np.ndarray, prop: StepPropagator, p_s: np.ndarray) -> np.ndarray:
+def preb_step(c_s: np.ndarray, cycle: CycleMap, p_s: np.ndarray) -> np.ndarray:
     """One cycle of the map: G_S^dag C G_S + P_S."""
-    g = prop.g_s
+    g = cycle.g_s
     return g.conj().T @ c_s @ g + p_s
 
 
@@ -54,7 +54,7 @@ class TrajectoryResult:
         return len(self.states) - 1
 
 
-def preb_trajectory(c0: np.ndarray, n: int, prop: StepPropagator, p_s: np.ndarray,
+def preb_trajectory(c0: np.ndarray, n: int, cycle: CycleMap, p_s: np.ndarray,
                     c_ness: Optional[np.ndarray] = None) -> TrajectoryResult:
     """Apply the cycle map ``n`` times, tracking the max-entry distance to the NESS."""
     if n < 1:
@@ -64,7 +64,7 @@ def preb_trajectory(c0: np.ndarray, n: int, prop: StepPropagator, p_s: np.ndarra
     if dists is not None:
         dists.append(float(np.max(np.abs(states[0] - c_ness))))
     for _ in range(n):
-        states.append(preb_step(states[-1], prop, p_s))
+        states.append(preb_step(states[-1], cycle, p_s))
         if dists is not None:
             dists.append(float(np.max(np.abs(states[-1] - c_ness))))
     return TrajectoryResult(states=states,
@@ -104,7 +104,7 @@ def _expectation(h_block: np.ndarray, c_block: np.ndarray) -> float:
     return float(np.sum(h_block * c_block).real)
 
 
-def step_thermodynamics(c_s: np.ndarray, ct_s: np.ndarray, prop: StepPropagator,
+def step_thermodynamics(c_s: np.ndarray, ct_s: np.ndarray, cycle: CycleMap,
                         occupations: Sequence[np.ndarray],
                         specs: Sequence[BathThermalSpec]) -> StepThermo:
     """The accounting of the cycle that took the system from ``c_s`` to ``ct_s``.
@@ -118,17 +118,15 @@ def step_thermodynamics(c_s: np.ndarray, ct_s: np.ndarray, prop: StepPropagator,
     chemical part.
 
     Each bath's particle, energy and coupling-energy changes are linear in c_s
-    and in the f_l, read off the set-up's ``CycleOperators``: one small product
+    and in the f_l, read off the set-up's ``CycleMap``: one small product
     per bath plus one contraction with c_s, so a step costs O(l_b), not O(n^3).
     Both baths are computed independently, so the first law checks the cycle
     rather than holding by construction.
     """
-    ops = prop.cycle_operators
-    h_s = prop.setup.h[prop.setup.system, prop.setup.system]
     c_s = np.asarray(c_s)
-    du = _expectation(h_s, ct_s) - _expectation(h_s, c_s)
-    x = (c_s.ravel() @ ops.system).real
-    for f, bath in zip(occupations, ops.bath):
+    du = _expectation(cycle.h_s, ct_s) - _expectation(cycle.h_s, c_s)
+    x = (c_s.ravel() @ cycle.system).real
+    for f, bath in zip(occupations, cycle.bath):
         x = x + f @ bath
     dn1, dn2, dh_b1, dh_b2, dh_sb1, dh_sb2 = x.tolist()  # the order of CYCLE_COLUMNS
     q1, q2 = dh_b1 - specs[0].mu * dn1, dh_b2 - specs[1].mu * dn2

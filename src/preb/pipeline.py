@@ -1,4 +1,4 @@
-"""End-to-end runs: config -> chains -> set-up -> propagator -> steady state -> report.
+"""End-to-end runs: config -> chains -> set-up -> cycle map -> steady state -> report.
 
 The pipeline is deterministic for a fixed configuration, and it keeps two
 process-wide caches, both emptied by ``clear_caches()``:
@@ -10,52 +10,43 @@ process-wide caches, both emptied by ``clear_caches()``:
   map's first ``SIZING_WINDOW`` sites, so sizing a chain is a lookup.  Only a
   bath whose tail has not settled by ``MAP_DEPTH`` is mapped to l_b > MAP_DEPTH
   on its own, uncached;
-- one set-up: its chains, Hamiltonian with eigensystem, chain eigensystems,
-  propagator with its cycle operators, and stability, keyed by (both spectral
-  functions, discretization size, chain length, g, tau).  None of these
-  depends on the temperatures or chemical potentials, so a point that differs
-  only in mu or beta refills the chains' Fermi factors, applies the cycle
-  operators to them (the drive matrix and the accounting, O(l_b) each) and
-  solves the Lyapunov equation, nothing more.  The entry's arrays are
+- one set-up: its chains and its ``CycleMap``, keyed by (both spectral
+  functions, discretization size, chain length, g, tau).  Neither depends on
+  the temperatures or chemical potentials, so a point that differs only in mu
+  or beta refills the chains' Fermi factors, applies the cycle map to them
+  (the drive matrix and the accounting, O(l_b) each) and solves the Lyapunov
+  equation, nothing more.  The set-up matrix, U and every eigenvector are
+  freed once the cycle map is built, so the entry holds O(l_b) numbers, all
   read-only, since later points share them.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .builder import (SetupHamiltonian, SystemSpec, assemble_hamiltonian,
-                      chain_length_for_tau, copies_required,
-                      rethermalization_estimate)
+from .builder import (SystemSpec, assemble_hamiltonian, chain_length_for_tau,
+                      copies_required, rethermalization_estimate)
 from .chainmap import MIN_MODES_PER_SITE, ChainCoefficients, chain_map_tridiag
-from .config import ProcessConfig, RunConfig
+from .config import RunConfig
 from .dynamics import preb_trajectory, step_thermodynamics
 from .errors import ConfigError, NoUniqueNessError
 from .negf import NegfReport, landauer_currents
-from .propagator import (StepPropagator, drive_matrix, solve_dlyap_direct,
-                         stability_rate, step_propagator)
+from .propagator import CycleMap, cycle_map, drive_matrix, solve_dlyap_direct
 from .spectral import BathThermalSpec, SpectralFunction, fermi_occupation
 from .thermo import NessReport, classify_regime, ness_rates
 
 MAP_DEPTH = 128     # D: the depth every bath is mapped to, then cut or padded
 SIZING_WINDOW = 16  # g_B is the tail hopping of the map's first this many sites
 
-_CHAIN_CACHE: dict = {}
-_SETUP_CACHE: dict = {}  # at most one entry: a tau = 500 propagator alone is 145 MB
-
 
 def clear_caches() -> None:
-    _CHAIN_CACHE.clear()
-    _SETUP_CACHE.clear()
-
-
-@dataclass(frozen=True)
-class _BathMap:
-    chain: ChainCoefficients  # mapped to MAP_DEPTH sites
-    g_b: float                # light-cone speed, from the first SIZING_WINDOW sites
+    _bath_map.cache_clear()
+    _set_up.cache_clear()
 
 
 def _map(sf: SpectralFunction, depth: int, n_modes: Optional[int]) -> ChainCoefficients:
@@ -66,26 +57,24 @@ def _map(sf: SpectralFunction, depth: int, n_modes: Optional[int]) -> ChainCoeff
     return chain_map_tridiag(sf, depth, n_modes=n_modes)
 
 
-def _bath_map(sf: SpectralFunction, process: ProcessConfig) -> _BathMap:
-    key = (sf, process.n_modes)
-    entry = _CHAIN_CACHE.get(key)
-    if entry is None:
-        chain = _map(sf, MAP_DEPTH, process.n_modes)
-        window = ChainCoefficients(chain.eps[:SIZING_WINDOW], chain.hop[:SIZING_WINDOW])
-        entry = _CHAIN_CACHE[key] = _BathMap(chain, window.hop_asym)
-    return entry
+@functools.cache
+def _bath_map(sf: SpectralFunction, n_modes: Optional[int]) -> tuple[ChainCoefficients, float]:
+    """The bath's map to ``MAP_DEPTH`` sites and its light-cone speed g_B."""
+    chain = _map(sf, MAP_DEPTH, n_modes)
+    window = ChainCoefficients(chain.eps[:SIZING_WINDOW], chain.hop[:SIZING_WINDOW])
+    return chain, window.hop_asym
 
 
-def _chain_for(sf: SpectralFunction, l_b: int, process: ProcessConfig) -> ChainCoefficients:
+def _chain_for(sf: SpectralFunction, l_b: int, n_modes: Optional[int]) -> ChainCoefficients:
     """The bath's chain for a set-up of ``l_b`` sites, to be cut or padded to it.
 
     That is the cached map, unless its tail has not settled and ``l_b``
     reaches past it: then the bath is mapped to ``l_b`` itself.
     """
-    chain = _bath_map(sf, process).chain
+    chain, _ = _bath_map(sf, n_modes)
     if l_b <= MAP_DEPTH or chain.tail_converged():
         return chain
-    return _map(sf, l_b, process.n_modes)
+    return _map(sf, l_b, n_modes)
 
 
 @dataclass
@@ -93,19 +82,18 @@ class NessBundle:
     """All intermediate objects of one parameter point, for reuse and inspection."""
 
     cfg: RunConfig
-    system: SystemSpec
     chains: tuple[ChainCoefficients, ChainCoefficients]
-    l_b: int
-    setup: SetupHamiltonian
-    prop: StepPropagator
+    cycle: CycleMap
     specs: tuple[BathThermalSpec, BathThermalSpec]
     occupations: tuple[np.ndarray, np.ndarray]  # Fermi factors of each chain's eigenmodes
     p_s: np.ndarray
-    spectral_radius: float
-    rate: float
+
+    @property
+    def l_b(self) -> int:
+        return self.cycle.l_b
 
     def solve_ness(self) -> np.ndarray:
-        return solve_dlyap_direct(self.prop.g_s, self.p_s)
+        return solve_dlyap_direct(self.cycle.g_s, self.p_s)
 
     def report(self, c_ness: Optional[np.ndarray] = None) -> NessReport:
         """Steady-state report of this point, solving for ``c_ness`` unless given.
@@ -115,17 +103,20 @@ class NessBundle:
         """
         if c_ness is None:
             c_ness = self.solve_ness()
-        report = ness_rates(c_ness, self.prop, self.p_s, self.occupations, self.specs)
+        report = ness_rates(c_ness, self.cycle, self.p_s, self.occupations, self.specs)
         if report.beta1 < report.beta2:
             classify_regime(report)
         cfg = self.cfg
-        report.r = self.rate
-        report.spectral_radius = self.spectral_radius
+        report.r = self.cycle.rate
+        report.spectral_radius = self.cycle.spectral_radius
         if cfg.bath1.kind == "lorentzian":
             report.lam = cfg.bath1.lam
         if cfg.bath1.kind == "lorentzian" and cfg.bath2.kind == "lorentzian":
             tau_r = rethermalization_estimate(min(cfg.bath1.lam, cfg.bath2.lam),
                                               cfg.process.tau_r_factor)
+            if not math.isfinite(tau_r):
+                raise ConfigError(f"process.tau_r_factor = {cfg.process.tau_r_factor:g} "
+                                  f"makes tau_R = factor / (2 lambda) overflow")
             report.n_copies = copies_required(tau_r, cfg.process.tau)
         return report
 
@@ -137,7 +128,7 @@ def chain_depth(cfg: RunConfig) -> int:
     cycle of length tau reaches; g_B comes from the cached bath maps.
     """
     process = cfg.process
-    g_b = max(_bath_map(bath.spectral_function(), process).g_b
+    g_b = max(_bath_map(bath.spectral_function(), process.n_modes)[1]
               for bath in (cfg.bath1, cfg.bath2))
     if process.depth is None:
         return chain_length_for_tau(g_b, process.tau, process.l_0)
@@ -148,49 +139,27 @@ def chain_depth(cfg: RunConfig) -> int:
     return process.depth
 
 
-@dataclass(frozen=True)
-class _SetUp:
-    """The part of a bundle that neither temperatures nor chemical potentials change."""
-
-    chains: tuple[ChainCoefficients, ChainCoefficients]
-    setup: SetupHamiltonian
-    prop: StepPropagator
-    spectral_radius: float
-    rate: float
-
-
-def _set_up(cfg: RunConfig, l_b: int) -> _SetUp:
-    sfs = (cfg.bath1.spectral_function(), cfg.bath2.spectral_function())
-    key = (*sfs, cfg.process.n_modes, l_b, cfg.g, cfg.process.tau)
-    entry = _SETUP_CACHE.get(key)
-    if entry is not None:
-        return entry
-    _SETUP_CACHE.clear()  # release the old entry before building the new one
-    chains = tuple(_chain_for(sf, l_b, cfg.process) for sf in sfs)
-    setup = assemble_hamiltonian(SystemSpec.two_site(cfg.g), chains, l_b)
-    prop = step_propagator(setup, cfg.process.tau)
-    radius, rate = stability_rate(prop.g_s, cfg.process.tau)
-    for array in (setup.h, *setup.eigensystem, prop.u, *prop.cycle_operators.arrays(),
-                  *(a for pair in setup.chains + setup.chain_eigensystems for a in pair)):
-        array.setflags(write=False)
-    entry = _SETUP_CACHE[key] = _SetUp(chains=chains, setup=setup, prop=prop,
-                                       spectral_radius=radius, rate=rate)
-    return entry
+@functools.lru_cache(maxsize=1)
+def _set_up(sfs: tuple[SpectralFunction, SpectralFunction], n_modes: Optional[int],
+            l_b: int, g: float, tau: float) -> tuple[tuple[ChainCoefficients, ...], CycleMap]:
+    """The part of a point that neither temperatures nor chemical potentials change."""
+    chains = tuple(_chain_for(sf, l_b, n_modes) for sf in sfs)
+    setup = assemble_hamiltonian(SystemSpec.two_site(g), chains, l_b)
+    return chains, cycle_map(setup, tau)
 
 
 def build_bundle(cfg: RunConfig, l_b: Optional[int] = None) -> NessBundle:
     """Every intermediate of one point; the set-up part comes from the set-up cache."""
     l_b = l_b if l_b is not None else chain_depth(cfg)
-    fixed = _set_up(cfg, l_b)
-    setup = fixed.setup
+    sfs = (cfg.bath1.spectral_function(), cfg.bath2.spectral_function())
+    chains, cycle = _set_up(sfs, cfg.process.n_modes, l_b, cfg.g, cfg.process.tau)
     specs = (BathThermalSpec(cfg.bath1.beta, cfg.bath1.mu),
              BathThermalSpec(cfg.bath2.beta, cfg.bath2.mu))
     occupations = tuple(fermi_occupation(spec, energies)
-                        for spec, (energies, _) in zip(specs, setup.chain_eigensystems))
-    p_s = drive_matrix(fixed.prop, *occupations)
-    return NessBundle(cfg=cfg, system=setup.system_spec, chains=fixed.chains, l_b=l_b,
-                      setup=setup, prop=fixed.prop, specs=specs, occupations=occupations,
-                      p_s=p_s, spectral_radius=fixed.spectral_radius, rate=fixed.rate)
+                        for spec, energies in zip(specs, cycle.energies))
+    p_s = drive_matrix(cycle, *occupations)
+    return NessBundle(cfg=cfg, chains=chains, cycle=cycle, specs=specs,
+                      occupations=occupations, p_s=p_s)
 
 
 def run_ness(cfg: RunConfig) -> NessReport:
@@ -211,9 +180,9 @@ def run_trajectory(cfg: RunConfig, steps: int):
         c_ness, report = None, None
     else:
         report = bundle.report(c_ness)
-    c0 = np.zeros((bundle.setup.l_s, bundle.setup.l_s), dtype=complex)
-    traj = preb_trajectory(c0, steps, bundle.prop, bundle.p_s, c_ness=c_ness)
-    thermos = [step_thermodynamics(c, ct, bundle.prop, bundle.occupations, bundle.specs)
+    c0 = np.zeros(bundle.cycle.h_s.shape, dtype=complex)
+    traj = preb_trajectory(c0, steps, bundle.cycle, bundle.p_s, c_ness=c_ness)
+    thermos = [step_thermodynamics(c, ct, bundle.cycle, bundle.occupations, bundle.specs)
                for c, ct in zip(traj.states[:-1], traj.states[1:])]
     return traj, thermos, report
 
@@ -222,7 +191,7 @@ def run_chainmap(cfg: RunConfig) -> tuple[ChainCoefficients, ChainCoefficients]:
     """Each bath's chain as the set-up uses it: ``l_b`` sites, cut or padded."""
     l_b = chain_depth(cfg)
     return tuple(ChainCoefficients(*_chain_for(bath.spectral_function(), l_b,
-                                               cfg.process).padded(l_b))
+                                               cfg.process.n_modes).padded(l_b))
                  for bath in (cfg.bath1, cfg.bath2))
 
 

@@ -1,24 +1,26 @@
-"""One-cycle propagator blocks, the cycle operators, and discrete-time Lyapunov solvers.
+"""The cycle map of a set-up, and discrete-time Lyapunov solvers for its fixed point.
 
 The cycle map for the system correlation matrix is affine,
 
     C' = G_S^dag C G_S + P_S,
 
-with G_S the system block of exp(-i H tau) and P_S built from the bath-to-
-system blocks and the thermal bath correlations.  Its fixed point solves the
-discrete-time Lyapunov equation C - G_S^dag C G_S = P_S, which has a unique
-solution iff every eigenvalue of G_S lies strictly inside the unit circle.
+with G_S the system block of U = exp(-i H tau) and P_S built from the
+bath-to-system blocks and the thermal bath correlations.  Its fixed point
+solves the discrete-time Lyapunov equation C - G_S^dag C G_S = P_S, which has
+a unique solution iff every eigenvalue of G_S lies strictly inside the unit
+circle.
 
 A thermal chain enters only through the Fermi factors f_l of its eigenmodes,
 so P_S and every per-cycle bath quantity are linear in the f_l with
-coefficients fixed by the set-up (``CycleOperators``).  A point that changes
-only temperatures or chemical potentials applies new Fermi factors to the same
-operators.
+coefficients fixed by the set-up.  ``cycle_map`` reduces U to those
+coefficients once per set-up, O(l_b) numbers in a read-only ``CycleMap``; U,
+the set-up matrix and every eigenvector are freed when it returns.  A point
+that changes only temperatures or chemical potentials applies new Fermi
+factors to the same ``CycleMap``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,61 +31,88 @@ from .errors import NoUniqueNessError, NumericsError
 UNITARITY_TOL = 1e-10
 RADIUS_MARGIN = 1e-12
 DOUBLING_TOL = 1e-14
-# columns of CycleOperators.bath and entries of CycleOperators.system: per bath,
-# the change of its particle number, of its chain energy and of its coupling energy
+# columns of CycleMap.bath and entries of CycleMap.system: per bath, the change
+# of its particle number, of its chain energy and of its coupling energy
 CYCLE_COLUMNS = ("dn1", "dn2", "dh_b1", "dh_b2", "dh_sb1", "dh_sb2")
 
 
 @dataclass(frozen=True, eq=False)
-class CycleOperators:
-    """Everything one cycle does, as linear maps of C_S and of the chains' Fermi factors.
+class CycleMap:
+    """Everything one cycle of a set-up does, as linear maps of C_S and of the Fermi factors.
 
     With V_l the eigenbasis of chain l and Y_l = V_l^T U[B_l, :], a cycle takes
     the initial state diag(C_S, V_1 f_1 V_1^T, V_2 f_2 V_2^T) to
 
         ct = U[S, :]^dag C_S U[S, :] + sum_l Y_l^dag diag(f_l) Y_l.
 
-    Only the pieces the accounting reads are kept, never Y itself:
+    Only the pieces a point reads are kept, never U or Y itself:
 
+    - ``h_s`` and ``g_s`` = U[S, S], the system Hamiltonian and propagator block;
+    - ``energies[l]``, chain l's mode energies, where its Fermi factors f_l are taken;
     - ``drive[l]`` = Y_l[:, S], so P_S = sum_l drive_l^dag diag(f_l) drive_l;
     - ``bath[l]``, real (l_b, 6): entry x of ``f_l @ bath[l]`` is what chain l
       contributes to the change of ``CYCLE_COLUMNS[x]``; chain l's own values
       before the cycle (its particle number and energy) are already subtracted;
     - ``system``, complex (L_S^2, 6): the system's contribution is
-      Re(C_S.ravel() @ system) for a Hermitian C_S.
+      Re(C_S.ravel() @ system) for a Hermitian C_S;
+    - ``unitarity_defect`` of U, and the ``spectral_radius`` of G_S with the
+      approach ``rate`` from ``stability_rate``.
+
+    Its arrays are read-only, since every point of the set-up shares them.
     """
 
+    tau: float
+    h_s: np.ndarray
+    g_s: np.ndarray
+    energies: tuple[np.ndarray, np.ndarray]
     drive: tuple[np.ndarray, np.ndarray]
     bath: tuple[np.ndarray, np.ndarray]
     system: np.ndarray
-
-    def arrays(self) -> list[np.ndarray]:
-        return [*self.drive, *self.bath, self.system]
-
-
-@dataclass(eq=False)
-class StepPropagator:
-    """exp(-i H tau) together with the index map of its blocks."""
-
-    setup: SetupHamiltonian
-    tau: float
-    u: np.ndarray
     unitarity_defect: float
+    spectral_radius: float
+    rate: float
+
+    def __post_init__(self):
+        for array in self.arrays():
+            array.setflags(write=False)
 
     @property
-    def g_s(self) -> np.ndarray:
-        s = self.setup.system
-        return self.u[s, s]
+    def l_b(self) -> int:
+        return self.energies[0].size
 
-    @functools.cached_property
-    def cycle_operators(self) -> CycleOperators:
-        """The set-up's cycle operators, built on first use and reused."""
-        return _cycle_operators(self)
+    def arrays(self) -> list[np.ndarray]:
+        return [self.h_s, self.g_s, *self.energies, *self.drive, *self.bath, self.system]
 
 
-def _cycle_operators(prop: StepPropagator) -> CycleOperators:
-    setup = prop.setup
-    u, l_s, l_b = prop.u, setup.l_s, setup.l_b
+def step_propagator(setup: SetupHamiltonian, tau: float) -> tuple[np.ndarray, float]:
+    """U = exp(-i H tau) from the set-up's cached eigendecomposition, and its unitarity defect."""
+    if tau < 0:
+        raise ValueError("tau must be non-negative")
+    energies, modes = setup.eigensystem
+    u = (modes * np.exp(-1j * energies * tau)) @ modes.T
+    n = u.shape[0]
+    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
+    if defect > UNITARITY_TOL:
+        raise NumericsError(f"propagator lost unitarity: defect {defect:.3e}")
+    return u, defect
+
+
+def cycle_map(setup: SetupHamiltonian, tau: float) -> CycleMap:
+    """The set-up's ``CycleMap`` for cycles of length ``tau``; U lives only in here."""
+    u, defect = step_propagator(setup, tau)
+    s = setup.system
+    g_s = u[s, s].copy()
+    radius, rate = stability_rate(g_s, tau)
+    drive, bath, system = _cycle_operators(setup, u)
+    return CycleMap(tau=tau, h_s=setup.h[s, s].copy(), g_s=g_s,
+                    energies=tuple(e.copy() for e, _ in setup.chain_eigensystems),
+                    drive=drive, bath=bath, system=system, unitarity_defect=defect,
+                    spectral_radius=radius, rate=rate)
+
+
+def _cycle_operators(setup: SetupHamiltonian, u: np.ndarray):
+    """(drive, bath, system) of ``CycleMap``, each a copy that holds no part of U."""
+    l_s, l_b = setup.l_s, setup.l_b
     (eps1, hop1), (eps2, hop2) = setup.chains
     # Each quantity x of CYCLE_COLUMNS reads the evolved state as
     # sum w_x Re ct[i, j] over site pairs (i, j): every chain site with itself
@@ -124,35 +153,20 @@ def _cycle_operators(prop: StepPropagator) -> CycleOperators:
     before = (t * t) @ w_site + (t[:, :-1] * t[:, 1:]) @ w_bond
     y = y.view(complex)
     bath = after - before + (y[:, links].conj() * y[:, heads]).real @ w_link
-    return CycleOperators(drive=(np.ascontiguousarray(y[:l_b, setup.system]),
-                                 np.ascontiguousarray(y[l_b:, setup.system])),
-                          bath=(bath[:l_b], bath[l_b:]), system=system)
+    drive = (y[:l_b, setup.system].copy(), y[l_b:, setup.system].copy())
+    return drive, (bath[:l_b].copy(), bath[l_b:].copy()), system
 
 
-def step_propagator(setup: SetupHamiltonian, tau: float) -> StepPropagator:
-    """Exact propagator from the cached eigendecomposition of the set-up matrix."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    energies, modes = setup.eigensystem
-    u = (modes * np.exp(-1j * energies * tau)) @ modes.T
-    n = u.shape[0]
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-    if defect > UNITARITY_TOL:
-        raise NumericsError(f"propagator lost unitarity: defect {defect:.3e}")
-    return StepPropagator(setup=setup, tau=tau, u=u, unitarity_defect=defect)
-
-
-def drive_matrix(prop: StepPropagator, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+def drive_matrix(cycle: CycleMap, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Injection term P_S = sum_l G_{B_l S}^dag C_{B_l}^therm G_{B_l S}.
 
     ``f1`` and ``f2`` are the Fermi factors of each chain's eigenmodes, in the
-    order of ``SetupHamiltonian.chain_eigensystems``.  In that eigenbasis the
+    order of ``CycleMap.energies``.  In that eigenbasis the
     sum is sum_l A_l^dag diag(f_l) A_l, Hermitian positive semidefinite by
     construction; it is symmetrized only to make it Hermitian to the last bit.
     """
-    drive = prop.cycle_operators.drive
     p = 0
-    for a, f in zip(drive, (f1, f2)):
+    for a, f in zip(cycle.drive, (f1, f2)):
         if np.shape(f) != (a.shape[0],):
             raise ValueError("Fermi factors do not match the chain length")
         p = p + (a.conj().T * f) @ a

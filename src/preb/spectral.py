@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,11 +31,14 @@ DEFAULT_GRID_MARGIN = 0.05
 class SpectralTable:
     """Sampled (omega, J) pairs on a uniform grid.
 
-    Hashed by identity so tables can key caches; value equality is not needed.
+    Tables with the same samples are equal and hash alike, so a table read
+    again from its file keys the same cache entries as the first read.  The
+    arrays are read-only copies; the hash is computed once, from their bytes.
     """
 
     omega: np.ndarray
     values: np.ndarray
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
@@ -51,8 +54,19 @@ class SpectralTable:
             raise ValueError("table grid must be uniform")
         if np.any(values < -1e-14):
             raise ValueError("spectral function must be non-negative")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "values", np.maximum(values, 0.0))
+        for name, array in (("omega", omega.copy()), ("values", np.maximum(values, 0.0))):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "_hash", hash((self.omega.tobytes(), self.values.tobytes())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpectralTable):
+            return NotImplemented
+        return (self._hash == other._hash and np.array_equal(self.omega, other.omega)
+                and np.array_equal(self.values, other.values))
 
 
 @dataclass(frozen=True)

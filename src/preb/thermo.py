@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import StepThermo, preb_step, step_thermodynamics
 from .errors import NumericsError
-from .propagator import StepPropagator
+from .propagator import CycleMap
 from .spectral import BathThermalSpec
 
 REGIME_HEAT_ENGINE = "heat-engine"
@@ -85,7 +85,7 @@ def curzon_ahlborn_efficiency(beta1: float, beta2: float) -> float:
     return 1.0 - math.sqrt(beta1 / beta2)
 
 
-def ness_rates(c_s_ness: np.ndarray, prop: StepPropagator, p_s: np.ndarray,
+def ness_rates(c_s_ness: np.ndarray, cycle: CycleMap, p_s: np.ndarray,
                occupations: Sequence[np.ndarray],
                specs: Sequence[BathThermalSpec]) -> NessReport:
     """Per-cycle thermodynamics at the steady state, divided by the cycle time.
@@ -96,12 +96,12 @@ def ness_rates(c_s_ness: np.ndarray, prop: StepPropagator, p_s: np.ndarray,
     must find internal energy and entropy stationary and the entropy
     production not negative before rates are reported.
     """
-    tau = prop.tau
-    c_next = preb_step(c_s_ness, prop, p_s)
+    tau = cycle.tau
+    c_next = preb_step(c_s_ness, cycle, p_s)
     residual = float(np.max(np.abs(c_next - c_s_ness)))
     if residual > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(c_s_ness)))):
         raise NumericsError(f"state is not a fixed point of the cycle map: residual {residual:.3e}")
-    st = step_thermodynamics(c_s_ness, c_next, prop, occupations, specs)
+    st = step_thermodynamics(c_s_ness, c_next, cycle, occupations, specs)
     scale = max(abs(st.dh_b[0]), abs(st.dh_b[1]), abs(st.w_ext), abs(st.q[0]),
                 abs(st.q[1]), 1e-12)
     # the absolute floor covers roundoff at points where every rate vanishes

@@ -74,7 +74,7 @@ def criterion_1(shared: _Shared) -> CriterionResult:
     bundle = build_bundle(cfg)
     c_direct = bundle.solve_ness()
     c = np.zeros_like(c_direct)
-    g, p = bundle.prop.g_s, bundle.p_s
+    g, p = bundle.cycle.g_s, bundle.p_s
     for _ in range(100000):
         c_next = g.conj().T @ c @ g + p
         if np.max(np.abs(c_next - c)) < 1e-12:

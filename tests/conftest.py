@@ -41,6 +41,11 @@ def write_spectral_table(path, omega, values) -> None:
             writer.writerow([f"{w:.12g}", f"{j:.12g}"])
 
 
+def bundle_setup(bundle):
+    """The set-up a bundle's cycle map was built from, assembled again from its chains."""
+    return assemble_hamiltonian(SystemSpec.two_site(bundle.cfg.g), bundle.chains, bundle.l_b)
+
+
 @pytest.fixture(scope="session")
 def engine_bundle():
     """Heat-engine point of the worked example (lambda = 0.05, tau = 1)."""

@@ -168,6 +168,22 @@ class TestSweeps:
         sweep_to_csv(buf, rows, axis="tau")
         assert len(buf.getvalue().splitlines()) == 3
 
+    def test_overflowing_tau_r_lands_in_error_column(self, tmp_path):
+        """tau_R = factor / (2 lambda) overflows at lambda = 0.1 but not at lambda = 1."""
+        path = tmp_path / "sweep.ini"
+        ini = ENGINE_INI.replace("l0 = 5", "l0 = 5\ntau_r_factor = 1e308")
+        path.write_text(ini + textwrap.dedent("""
+            [sweep]
+            axis = lambda
+            min = 0.1
+            max = 1.0
+            points = 2
+            spacing = log
+        """))
+        rows = run_sweep(parse_config(path))
+        assert rows[0].report is None and "process.tau_r_factor" in rows[0].error
+        assert rows[1].error is None and rows[1].report.n_copies > 10 ** 300
+
     def test_parallel_equals_serial(self, tmp_path):
         cfg = parse_config(self.sweep_ini(tmp_path))
         serial = run_sweep(cfg, jobs=1)
@@ -271,7 +287,9 @@ class TestCli:
         ("[bath1]\nkappa = inf\n", "bath1.kappa"),
         ("[system]\ng = nan\n", "system.g"),
         ("[bath1]\nbeta = inf\n", "bath1.beta"),
-    ], ids=["tau-nan", "tau-inf", "lambda-nan", "kappa-inf", "g-nan", "beta-inf"])
+        ("[process]\ntau_r_factor = 1e308\n", "process.tau_r_factor"),  # tau_R overflows
+    ], ids=["tau-nan", "tau-inf", "lambda-nan", "kappa-inf", "g-nan", "beta-inf",
+            "tau_r-overflow"])
     def test_nonfinite_value_exit_code(self, tmp_path, capsys, text, key):
         path = tmp_path / "nonfinite.ini"
         path.write_text(text)

@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import decoupled_bundle_pieces, engine_config
+from conftest import bundle_setup, decoupled_bundle_pieces, engine_config
 from preb.builder import thermal_correlation
 from preb.dynamics import (TRAJECTORY_COLUMNS, StepThermo, cumulative_thermo,
                            gaussian_entropy, preb_step, preb_trajectory,
                            step_thermodynamics, trajectory_to_csv)
 from preb.pipeline import build_bundle, run_negf
-from preb.propagator import step_propagator
+from preb.propagator import cycle_map, step_propagator
 from preb.sweeps import apply_axis
 from preb.thermo import ness_rates
 
 
 def account(c_s, bundle) -> StepThermo:
     """The accounting of one cycle of ``bundle`` from ``c_s``, its successor made by the map."""
-    return step_thermodynamics(c_s, preb_step(c_s, bundle.prop, bundle.p_s), bundle.prop,
+    return step_thermodynamics(c_s, preb_step(c_s, bundle.cycle, bundle.p_s), bundle.cycle,
                                bundle.occupations, bundle.specs)
 
 
@@ -55,22 +55,22 @@ class TestGaussianEntropy:
 class TestPrebStep:
     def test_fixed_point_is_invariant(self, engine_bundle):
         c = engine_bundle.solve_ness()
-        c_next = preb_step(c, engine_bundle.prop, engine_bundle.p_s)
+        c_next = preb_step(c, engine_bundle.cycle, engine_bundle.p_s)
         assert np.max(np.abs(c_next - c)) < 1e-12
 
     def test_first_step_from_empty_system_is_the_drive(self, engine_bundle):
         c0 = np.zeros_like(engine_bundle.p_s)
-        assert_allclose(preb_step(c0, engine_bundle.prop, engine_bundle.p_s),
+        assert_allclose(preb_step(c0, engine_bundle.cycle, engine_bundle.p_s),
                         engine_bundle.p_s, atol=0)
 
     def test_closed_system_preserves_trace(self):
         setup, _, _ = decoupled_bundle_pieces()
-        prop = step_propagator(setup, 1.0)
+        cycle = cycle_map(setup, 1.0)
         p0 = np.zeros((2, 2))
         rng = np.random.default_rng(1)
         c = random_system_state(rng)
         for _ in range(5):
-            c = preb_step(c, prop, p0)
+            c = preb_step(c, cycle, p0)
         rng2 = np.random.default_rng(1)
         assert np.trace(c).real == pytest.approx(
             np.trace(random_system_state(rng2)).real, abs=1e-12)
@@ -85,9 +85,9 @@ class TestPrebStep:
         phi = np.array([1.0, 1.0j]) / np.sqrt(2.0)
         c = np.outer(phi.conj(), phi)
         tau = 0.3
-        prop = step_propagator(setup, tau)
+        cycle = cycle_map(setup, tau)
         for m in range(1, 6):
-            c = preb_step(c, prop, np.zeros((2, 2)))
+            c = preb_step(c, cycle, np.zeros((2, 2)))
             expected = 0.5 * (1.0 + np.sin(2.0 * m * tau))
             assert c[0, 0].real == pytest.approx(expected, abs=1e-12)
 
@@ -95,24 +95,24 @@ class TestPrebStep:
 class TestTrajectory:
     def test_single_step_matches_step(self, engine_bundle):
         c0 = np.zeros_like(engine_bundle.p_s)
-        traj = preb_trajectory(c0, 1, engine_bundle.prop, engine_bundle.p_s)
+        traj = preb_trajectory(c0, 1, engine_bundle.cycle, engine_bundle.p_s)
         assert_allclose(traj.states[1],
-                        preb_step(c0, engine_bundle.prop, engine_bundle.p_s))
+                        preb_step(c0, engine_bundle.cycle, engine_bundle.p_s))
 
     def test_geometric_decay_at_squared_radius(self):
         """Log-distance slope equals 2 ln(radius): occupations are quadratic in amplitudes."""
         bundle = build_bundle(engine_config(lam=0.2))
         c_ness = bundle.solve_ness()
         c0 = np.zeros_like(c_ness)
-        traj = preb_trajectory(c0, 60, bundle.prop, bundle.p_s, c_ness=c_ness)
+        traj = preb_trajectory(c0, 60, bundle.cycle, bundle.p_s, c_ness=c_ness)
         # distances from 5e-10 down to 2e-14, clear of the ~1e-16 roundoff floor
         steps = np.arange(30, 46)
         slope = np.polyfit(steps, np.log(traj.dist_to_ness[steps]), 1)[0]
-        assert slope == pytest.approx(2.0 * np.log(bundle.spectral_radius), rel=0.02)
+        assert slope == pytest.approx(2.0 * np.log(bundle.cycle.spectral_radius), rel=0.02)
 
     def test_states_stay_physical(self, engine_bundle):
         c0 = np.zeros_like(engine_bundle.p_s)
-        traj = preb_trajectory(c0, 30, engine_bundle.prop, engine_bundle.p_s)
+        traj = preb_trajectory(c0, 30, engine_bundle.cycle, engine_bundle.p_s)
         for c in traj.states:
             assert np.max(np.abs(c - c.conj().T)) < 1e-10
             occ = np.linalg.eigvalsh(c)
@@ -123,19 +123,21 @@ class TestTrajectory:
         bundle = build_bundle(cfg)
         c_ness = bundle.solve_ness()
         c0 = np.zeros_like(c_ness)
-        traj = preb_trajectory(c0, 25, bundle.prop, bundle.p_s, c_ness=c_ness)
+        traj = preb_trajectory(c0, 25, bundle.cycle, bundle.p_s, c_ness=c_ness)
         assert traj.dist_to_ness[-1] < 1e-8
         occ = np.diag(traj.states[-1]).real
         negf = run_negf(cfg).occupations
         assert np.max(np.abs(occ - negf) / negf) < 0.02
 
 
-def dense_step_thermodynamics(c_s, prop, specs) -> StepThermo:
+def dense_step_thermodynamics(c_s, bundle) -> StepThermo:
     """The accounting on the full evolved state ct = U^dag c0 U: the reference.
 
-    The chains start in their dense thermal states from ``thermal_correlation``.
+    The set-up is assembled again from the bundle's chains, and the chains
+    start in their dense thermal states from ``thermal_correlation``.
     """
-    setup = prop.setup
+    setup, specs = bundle_setup(bundle), bundle.specs
+    u, _ = step_propagator(setup, bundle.cycle.tau)
     h, s = setup.h, setup.system
     bath_slices = (setup.bath1, setup.bath2)
     n = setup.n_sites
@@ -143,7 +145,7 @@ def dense_step_thermodynamics(c_s, prop, specs) -> StepThermo:
     c0[s, s] = c_s
     for b, spec in zip(bath_slices, specs):
         c0[b, b] = thermal_correlation(h[b, b], spec)
-    ct = prop.u.conj().T @ c0 @ prop.u
+    ct = u.conj().T @ c0 @ u
 
     def energy(c, rows, cols):
         return float(np.sum(h[rows, cols] * c[rows, cols]).real)
@@ -195,7 +197,7 @@ class TestStepThermodynamics:
             for _ in range(4):
                 c = random_system_state(rng)
                 got = _fields(account(c, bundle))
-                want = _fields(dense_step_thermodynamics(c, bundle.prop, bundle.specs))
+                want = _fields(dense_step_thermodynamics(c, bundle))
                 scale = max(abs(x) for x in want.values())
                 for name, x in want.items():
                     assert abs(got[name] - x) <= 1e-12 * scale, (cfg.bath1, name)
@@ -239,7 +241,7 @@ class TestStepThermodynamics:
         cfg = engine_config(lam=0.2)
         cfg = cfg.replace(bath1=cfg.bath1.__class__(lam=0.2, beta=1.0, mu=-2.0))
         bundle = build_bundle(cfg)
-        c_s = thermal_correlation(bundle.system.h_s, bundle.specs[0]).astype(complex)
+        c_s = thermal_correlation(bundle.cycle.h_s, bundle.specs[0]).astype(complex)
         st = account(c_s, bundle)
         assert st.sigma > 1e-3  # genuinely positive, not a numerical zero
 
@@ -265,16 +267,16 @@ class TestCumulative:
             running_next = running + st.sigma
             assert running_next >= running - 1e-10
             running = running_next
-            c = preb_step(c, engine_bundle.prop, engine_bundle.p_s)
+            c = preb_step(c, engine_bundle.cycle, engine_bundle.p_s)
 
     def test_tail_rates_match_fixed_point_report(self, engine_bundle):
         c = engine_bundle.solve_ness()
         steps = []
         for _ in range(5):
             steps.append(account(c, engine_bundle))
-            c = preb_step(c, engine_bundle.prop, engine_bundle.p_s)
-        tot = cumulative_thermo(steps, tau=engine_bundle.prop.tau)
-        rep = ness_rates(engine_bundle.solve_ness(), engine_bundle.prop,
+            c = preb_step(c, engine_bundle.cycle, engine_bundle.p_s)
+        tot = cumulative_thermo(steps, tau=engine_bundle.cycle.tau)
+        rep = ness_rates(engine_bundle.solve_ness(), engine_bundle.cycle,
                          engine_bundle.p_s, engine_bundle.occupations, engine_bundle.specs)
         assert tot.p_ext == pytest.approx(rep.p_ext, rel=1e-10)
         assert tot.qdot[0] == pytest.approx(rep.qdot[0], rel=1e-10)
@@ -291,7 +293,7 @@ def test_global_entropy_identity(engine_bundle):
     steps = []
     for _ in range(30):
         steps.append(account(c, engine_bundle))
-        c = preb_step(c, engine_bundle.prop, engine_bundle.p_s)
+        c = preb_step(c, engine_bundle.cycle, engine_bundle.p_s)
     tot = cumulative_thermo(steps, tau=1.0)
     beta1, beta2 = (s.beta for s in engine_bundle.specs)
     s_first = gaussian_entropy(np.zeros((2, 2)))
@@ -302,7 +304,7 @@ def test_global_entropy_identity(engine_bundle):
 
 def test_trajectory_csv_format(engine_bundle):
     c0 = np.zeros((2, 2), dtype=complex)
-    traj = preb_trajectory(c0, 3, engine_bundle.prop, engine_bundle.p_s,
+    traj = preb_trajectory(c0, 3, engine_bundle.cycle, engine_bundle.p_s,
                            c_ness=engine_bundle.solve_ness())
     steps = [account(c, engine_bundle) for c in traj.states[:-1]]
     buf = io.StringIO()

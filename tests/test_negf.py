@@ -49,8 +49,8 @@ class TestSelfEnergy:
         system = SystemSpec(h_s=np.zeros((1, 1)), coupling_sites=(0, 0))
         setup = assemble_hamiltonian(system, [chain, ghost], 40)
         t = 4.0
-        prop = step_propagator(setup, t)
-        survival = abs(prop.u[0, 0]) ** 2
+        u, _ = step_propagator(setup, t)
+        survival = abs(u[0, 0]) ** 2
         assert survival == pytest.approx(np.exp(-height * t), rel=0.05)
 
 

@@ -138,6 +138,16 @@ class TestChainMaps:
         assert not bundle.chains[0].tail_converged()
         assert map_depths.count(l_b) == 1
 
+    def test_tabulated_bath_is_mapped_once(self, map_depths, tmp_path):
+        """A table read again for every point still keys both caches."""
+        omega = np.linspace(-6.0, 6.0, 601)
+        write_spectral_table(tmp_path / "band.csv", omega, np.maximum(0.0, 1.0 - (omega / 4) ** 2))
+        cfg = engine_config().replace(
+            bath1=BathConfig(kind="tabulated", table=str(tmp_path / "band.csv")))
+        bundles = [build_bundle(apply_axis(cfg, "mu", mu)) for mu in (-2.0, -1.5, -1.0, -0.5)]
+        assert map_depths == [MAP_DEPTH, MAP_DEPTH]
+        assert all(bundle.cycle is bundles[0].cycle for bundle in bundles)
+
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
     def test_shipped_baths_settle_within_the_map(self, path, caplog):
         clear_caches()
@@ -158,8 +168,8 @@ class TestSetUpCache:
     def test_mu_and_beta1_points_share_the_set_up(self, axis, value):
         base = build_bundle(engine_config())
         other = build_bundle(apply_axis(engine_config(), axis, value))
-        assert other.prop is base.prop and other.setup is base.setup
-        assert other.prop.cycle_operators is base.prop.cycle_operators
+        assert other.cycle is base.cycle
+        assert all(a is b for a, b in zip(other.chains, base.chains))
         assert other.specs != base.specs
         assert any((f != g).any() for f, g in zip(other.occupations, base.occupations))
 
@@ -183,15 +193,21 @@ class TestSetUpCache:
         base_cfg = _with_process(engine_config(), depth=9)  # tau alone keeps l_b
         base = build_bundle(base_cfg)
         other = build_bundle(change(base_cfg))
-        assert other.prop is not base.prop and other.setup is not base.setup
+        assert other.cycle is not base.cycle
 
     def test_cached_arrays_are_read_only(self):
         bundle = build_bundle(engine_config())
-        setup = bundle.setup
-        arrays = [*(a for chain in setup.chains for a in chain),
-                  setup.h, bundle.prop.u, bundle.prop.g_s, *setup.eigensystem,
-                  *(a for es in setup.chain_eigensystems for a in es),
-                  *bundle.prop.cycle_operators.arrays()]
+        arrays = [*bundle.cycle.arrays(), *(a for chain in bundle.chains
+                                            for a in (chain.eps, chain.hop))]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 0.0
+
+    def test_entry_holds_no_array_of_the_set_up_size(self):
+        """At tau = 50 (l_b = 156, n = 314) U alone has n^2 = 98 596 entries."""
+        cycle = build_bundle(engine_config(tau=50.0)).cycle
+        assert cycle.l_b == 156
+        for array in cycle.arrays():
+            while array.base is not None:  # nor is any a view into a larger array
+                array = array.base
+            assert array.size <= 6 * cycle.l_b

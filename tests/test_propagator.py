@@ -3,17 +3,18 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from conftest import decoupled_bundle_pieces
+from conftest import bundle_setup, decoupled_bundle_pieces
 from preb.builder import SetupHamiltonian, SystemSpec
 from preb.errors import NoUniqueNessError, NumericsError
-from preb.propagator import (drive_matrix, solve_dlyap_direct, solve_dlyap_doubling,
-                             stability_rate, step_propagator)
+from preb.propagator import (cycle_map, drive_matrix, solve_dlyap_direct,
+                             solve_dlyap_doubling, stability_rate, step_propagator)
 
 
 class TestStepPropagator:
     def test_zero_time_is_identity(self, engine_bundle):
-        prop = step_propagator(engine_bundle.setup, 0.0)
-        assert_allclose(prop.u, np.eye(engine_bundle.setup.n_sites), atol=1e-14)
+        setup = bundle_setup(engine_bundle)
+        u, _ = step_propagator(setup, 0.0)
+        assert_allclose(u, np.eye(setup.n_sites), atol=1e-14)
 
     def test_diagonal_hamiltonian(self):
         """No hopping anywhere: U is the diagonal of phases exp(-i e tau)."""
@@ -22,33 +23,34 @@ class TestStepPropagator:
         setup = SetupHamiltonian(system, (chain, chain))
         d = np.diag(setup.h)
         assert_allclose(d, [0.2, -0.4, 0.3, -0.5, 1.1, 0.3, -0.5, 1.1], atol=0)
-        prop = step_propagator(setup, 0.7)
-        assert_allclose(np.diag(prop.u), np.exp(-1j * d * 0.7), atol=1e-14)
-        assert_allclose(prop.u - np.diag(np.diag(prop.u)), 0.0, atol=1e-14)
+        u, _ = step_propagator(setup, 0.7)
+        assert_allclose(np.diag(u), np.exp(-1j * d * 0.7), atol=1e-14)
+        assert_allclose(u - np.diag(np.diag(u)), 0.0, atol=1e-14)
 
     def test_group_property(self, engine_bundle):
         rng = np.random.default_rng(5)
+        setup = bundle_setup(engine_bundle)
         for _ in range(3):
             t1, t2 = rng.uniform(0.1, 3.0, size=2)
-            u1 = step_propagator(engine_bundle.setup, t1).u
-            u2 = step_propagator(engine_bundle.setup, t2).u
-            u12 = step_propagator(engine_bundle.setup, t1 + t2).u
+            u1, _ = step_propagator(setup, t1)
+            u2, _ = step_propagator(setup, t2)
+            u12, _ = step_propagator(setup, t1 + t2)
             assert np.max(np.abs(u1 @ u2 - u12)) < 1e-10
 
     def test_unitarity_at_long_times(self, broad_bundle):
-        prop = step_propagator(broad_bundle.setup, 20.0)
-        assert prop.unitarity_defect < 1e-10
+        _, defect = step_propagator(bundle_setup(broad_bundle), 20.0)
+        assert defect < 1e-10
 
     def test_blocks_tile_the_propagator(self, engine_bundle):
-        prop = engine_bundle.prop
-        setup = engine_bundle.setup
+        setup = bundle_setup(engine_bundle)
+        u, _ = step_propagator(setup, engine_bundle.cycle.tau)
         s, b1, b2 = setup.system, setup.bath1, setup.bath2
         rebuilt = np.block([
-            [prop.u[s, s], prop.u[s, b1], prop.u[s, b2]],
-            [prop.u[b1, s], prop.u[b1, b1], prop.u[b1, b2]],
-            [prop.u[b2, s], prop.u[b2, b1], prop.u[b2, b2]],
+            [u[s, s], u[s, b1], u[s, b2]],
+            [u[b1, s], u[b1, b1], u[b1, b2]],
+            [u[b2, s], u[b2, b1], u[b2, b2]],
         ])
-        assert np.max(np.abs(rebuilt - prop.u)) == 0.0
+        assert np.max(np.abs(rebuilt - u)) == 0.0
 
     def test_corrupted_eigensystem_is_rejected(self):
         """A cached eigensystem whose modes are no longer orthonormal gives a non-unitary U."""
@@ -63,19 +65,18 @@ class TestStepPropagator:
 class TestDriveMatrix:
     def test_decoupled_baths_inject_nothing(self):
         setup, occupations, _ = decoupled_bundle_pieces()
-        prop = step_propagator(setup, 1.0)
-        p = drive_matrix(prop, *occupations)
+        p = drive_matrix(cycle_map(setup, 1.0), *occupations)
         assert np.max(np.abs(p)) < 1e-280
 
     def test_empty_baths_inject_nothing(self, engine_bundle):
         zero = np.zeros(engine_bundle.l_b)
-        p = drive_matrix(engine_bundle.prop, zero, zero)
+        p = drive_matrix(engine_bundle.cycle, zero, zero)
         assert np.max(np.abs(p)) == 0.0
 
     def test_full_baths_saturate_unitarity_identity(self, engine_bundle):
         full = np.ones(engine_bundle.l_b)
-        p = drive_matrix(engine_bundle.prop, full, full)
-        g = engine_bundle.prop.g_s
+        p = drive_matrix(engine_bundle.cycle, full, full)
+        g = engine_bundle.cycle.g_s
         assert np.max(np.abs(p - (np.eye(g.shape[0]) - g.conj().T @ g))) < 1e-10
 
     def test_output_is_hermitian_psd(self, engine_bundle):
@@ -86,7 +87,7 @@ class TestDriveMatrix:
     def test_occupations_must_match_the_chains(self, engine_bundle):
         f1, f2 = engine_bundle.occupations
         with pytest.raises(ValueError, match="chain length"):
-            drive_matrix(engine_bundle.prop, f1[:-1], f2)
+            drive_matrix(engine_bundle.cycle, f1[:-1], f2)
 
 
 class TestLyapunovSolvers:
@@ -142,14 +143,14 @@ class TestLyapunovSolvers:
         occ = np.linalg.eigvalsh(c)
         assert np.all(occ > -1e-10) and np.all(occ < 1 + 1e-10)
         residual = np.max(np.abs(
-            c - engine_bundle.prop.g_s.conj().T @ c @ engine_bundle.prop.g_s
+            c - engine_bundle.cycle.g_s.conj().T @ c @ engine_bundle.cycle.g_s
             - engine_bundle.p_s))
         assert residual < 1e-10 * max(1.0, np.max(np.abs(c)))
 
     def test_full_baths_fix_the_filled_system(self, engine_bundle):
         full = np.ones(engine_bundle.l_b)
-        p = drive_matrix(engine_bundle.prop, full, full)
-        c = solve_dlyap_direct(engine_bundle.prop.g_s, p)
+        p = drive_matrix(engine_bundle.cycle, full, full)
+        c = solve_dlyap_direct(engine_bundle.cycle.g_s, p)
         assert_allclose(c, np.eye(c.shape[0]), atol=1e-9)
 
 
@@ -161,7 +162,6 @@ class TestStabilityRate:
 
     def test_decoupled_system_is_marginal(self):
         setup, _, _ = decoupled_bundle_pieces()
-        prop = step_propagator(setup, 1.0)
-        radius, rate = stability_rate(prop.g_s, 1.0)
+        radius, rate = stability_rate(cycle_map(setup, 1.0).g_s, 1.0)
         assert radius == pytest.approx(1.0, abs=1e-12)
         assert abs(rate) < 1e-10

@@ -19,11 +19,11 @@ class TestNessRates:
     def test_rejects_non_fixed_point(self, engine_bundle):
         c_wrong = np.zeros_like(engine_bundle.p_s)
         with pytest.raises(NumericsError, match="fixed point"):
-            ness_rates(c_wrong, engine_bundle.prop, engine_bundle.p_s,
+            ness_rates(c_wrong, engine_bundle.cycle, engine_bundle.p_s,
                        engine_bundle.occupations, engine_bundle.specs)
 
     def test_first_law_at_steady_state(self, engine_bundle):
-        rep = ness_rates(engine_bundle.solve_ness(), engine_bundle.prop,
+        rep = ness_rates(engine_bundle.solve_ness(), engine_bundle.cycle,
                          engine_bundle.p_s, engine_bundle.occupations, engine_bundle.specs)
         scale = max(abs(rep.qdot[0]), abs(rep.qdot[1]), abs(rep.p_ext))
         assert abs(rep.p - rep.qdot[0] - rep.qdot[1]) < 1e-8 * scale
@@ -31,7 +31,7 @@ class TestNessRates:
         assert abs(rep.ndot[0] + rep.ndot[1]) < 1e-10
 
     def test_equal_chemical_potentials_mean_no_chemical_power(self, engine_bundle):
-        rep = ness_rates(engine_bundle.solve_ness(), engine_bundle.prop,
+        rep = ness_rates(engine_bundle.solve_ness(), engine_bundle.cycle,
                          engine_bundle.p_s, engine_bundle.occupations, engine_bundle.specs)
         assert abs(rep.p_chem) < 1e-12
 

@@ -15,7 +15,7 @@ from .config import (BathConfig, ProcessConfig, RunConfig, SweepConfig,
                      heat_engine_preset, parse_config, refrigerator_preset)
 from .dynamics import (CumulativeThermo, StepThermo, TrajectoryResult,
                        cumulative_thermo, gaussian_entropy, preb_step,
-                       preb_trajectory, step_thermodynamics, trajectory_to_csv)
+                       preb_trajectory, step_thermodynamics)
 from .errors import ConfigError, NoUniqueNessError, NumericsError, PrebError
 from .negf import LeadSelfEnergy, NegfReport, landauer_currents, transmission_table
 from .pipeline import (NessBundle, build_bundle, chain_depth,
@@ -26,7 +26,7 @@ from .propagator import (CycleMap, cycle_map, drive_matrix, solve_dlyap_direct,
 from .spectral import (BathThermalSpec, SpectralFunction, SpectralTable,
                        fermi_occupation, frequency_grid, hilbert_transform,
                        read_spectral_table)
-from .sweeps import SweepRow, apply_axis, run_sweep, sweep_to_csv, sweep_values
+from .sweeps import SweepRow, apply_axis, run_sweep, sweep_values
 from .thermo import (CollisionalPrediction, NessReport, carnot_cop,
                      carnot_efficiency, classify_regime, collisional_limit,
                      curzon_ahlborn_efficiency, ness_rates, tight_coupling_check)

@@ -32,7 +32,6 @@ coupling of the recursion above.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from typing import Optional
@@ -115,17 +114,6 @@ class ChainCoefficients:
         eps = np.concatenate([self.eps, np.full(pad, self.eps_asym)])
         hop = np.concatenate([self.hop, np.full(pad, self.hop_asym)])
         return eps, hop
-
-    # -- CSV -----------------------------------------------------------------
-
-    def to_csv(self, fh) -> None:
-        """Rows ``p,eps,hop``: the hop cell of row p holds g_p, the eps cell eps_p."""
-        writer = csv.writer(fh)
-        writer.writerow(["p", "eps", "hop"])
-        writer.writerow([0, "", f"{self.hop[0]:.17g}"])
-        for p in range(1, self.depth):
-            writer.writerow([p, f"{self.eps[p - 1]:.17g}", f"{self.hop[p]:.17g}"])
-        writer.writerow([self.depth, f"{self.eps[-1]:.17g}", ""])
 
 
 # -- moment recursion ---------------------------------------------------------

@@ -1,5 +1,11 @@
 """Command-line front end: ness / sweep / trajectory / chainmap / negf / validate.
 
+Every table the commands print is written here, by ``_write_table``: a header
+row, then one row per record through ``csv.writer``'s default dialect, with
+numbers to 12 significant digits (17 for chain coefficients, so they read
+back exactly), ``None`` as an empty cell, and text and integers as they are.
+The physics modules return objects and know nothing of the format.
+
 Exit codes: 0 success, 2 configuration error, 3 no unique steady state,
 4 numerical failure or any other error, 5 validation failure.  An error
 prints one line to stderr, never a traceback.
@@ -15,11 +21,10 @@ import sys
 
 from .builder import SystemSpec
 from .config import RunConfig, parse_config, validate_process
-from .dynamics import trajectory_to_csv
 from .errors import ConfigError, NoUniqueNessError, PrebError
-from .negf import negf_to_csv, transmission_table, transmission_to_csv
+from .negf import transmission_table
 from .pipeline import run_chainmap, run_negf, run_ness, run_trajectory
-from .sweeps import report_to_csv, run_sweep, sweep_to_csv
+from .sweeps import run_sweep
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -27,6 +32,13 @@ EXIT_CONFIG = 2
 EXIT_NO_NESS = 3
 EXIT_NUMERICS = 4
 EXIT_VALIDATION = 5
+
+REPORT_COLUMNS = ["tau", "lambda", "mu", "beta1", "beta2", "P_ext", "P_chem",
+                  "Q1", "Q2", "N1", "sigma", "regime", "eta", "eta_c",
+                  "cop", "cop_c", "r", "radius", "Ncopies"]
+SWEEP_COLUMNS = REPORT_COLUMNS + ["error"]
+TRAJECTORY_COLUMNS = ["step", "deltaU", "W_ext", "W_chem", "Q1", "Q2", "dS", "Sigma",
+                      "dist_to_ness"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,20 +102,52 @@ def _out_stream(path):
             yield fh
 
 
+def _write_table(fh, header, rows, digits: int = 12) -> None:
+    """Floats to ``digits`` significant digits; csv.writer prints None empty, the rest by str."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([f"{x:.{digits}g}" if isinstance(x, float) else x for x in row]
+                     for row in rows)
+
+
+def _report_row(report) -> list:
+    return [report.tau, report.lam, report.mu, report.beta1, report.beta2, report.p_ext,
+            report.p_chem, *report.qdot, report.ndot[0], report.sigma, report.regime,
+            report.eta, report.eta_c, report.cop, report.cop_c, report.r,
+            report.spectral_radius, report.n_copies]
+
+
+def _sweep_row(row, axis: str) -> list:
+    """A failed point keeps its swept value in its axis's column: each axis names one."""
+    if row.report is not None:
+        return _report_row(row.report) + [None]
+    cells = [None] * len(REPORT_COLUMNS)
+    cells[REPORT_COLUMNS.index(axis)] = row.value
+    return cells + [row.error]
+
+
+def _trajectory_rows(thermos, dists) -> list:
+    return [[i + 1, st.du, st.w_ext, st.w_chem, *st.q, st.ds, st.sigma,
+             None if dists is None else dists[i]] for i, st in enumerate(thermos)]
+
+
+def _chain_rows(chain) -> list:
+    """Rows ``p,eps,hop``: the hop cell of row p holds g_p, the eps cell eps_p."""
+    return list(zip(range(chain.depth + 1), [None, *chain.eps], [*chain.hop, None]))
+
+
 def _cmd_ness(args) -> int:
     report = run_ness(_load_config(args))
     with _out_stream(args.out) as fh:
-        report_to_csv(fh, report)
+        _write_table(fh, REPORT_COLUMNS, [_report_row(report)])
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if cfg.sweep is None:
-        raise ConfigError("config has no [sweep] section")
     rows = run_sweep(cfg, jobs=args.jobs)
     with _out_stream(args.out) as fh:
-        sweep_to_csv(fh, rows, axis=cfg.sweep.axis)
+        _write_table(fh, SWEEP_COLUMNS, [_sweep_row(row, cfg.sweep.axis) for row in rows])
     return EXIT_OK
 
 
@@ -111,30 +155,34 @@ def _cmd_trajectory(args) -> int:
     traj, thermos, _report = run_trajectory(_load_config(args), args.steps)
     dists = traj.dist_to_ness[1:] if traj.dist_to_ness is not None else None
     with _out_stream(args.out) as fh:
-        trajectory_to_csv(fh, thermos, dists)
+        _write_table(fh, TRAJECTORY_COLUMNS, _trajectory_rows(thermos, dists))
     return EXIT_OK
 
 
 def _cmd_chainmap(args) -> int:
     chains = run_chainmap(_load_config(args))
     for ell, chain in enumerate(chains):
-        if args.out:
-            with _out_stream(f"{args.out}.bath{ell + 1}.csv") as fh:
-                chain.to_csv(fh)
-        else:
-            csv.writer(sys.stdout).writerow([f"# bath{ell + 1}"])
-            chain.to_csv(sys.stdout)
+        path = f"{args.out}.bath{ell + 1}.csv" if args.out else None
+        with _out_stream(path) as fh:
+            if path is None:
+                _write_table(fh, [f"# bath{ell + 1}"], [])  # a one-cell marker row
+            _write_table(fh, ["p", "eps", "hop"], _chain_rows(chain), digits=17)
     return EXIT_OK
 
 
 def _cmd_negf(args) -> int:
     cfg = _load_config(args)
+    report = run_negf(cfg)
     with _out_stream(args.out) as fh:
-        negf_to_csv(fh, run_negf(cfg))
+        _write_table(fh, ["I", "J", "Q1", "Q2", "P_chem", "sigma"]
+                     + [f"n{i + 1}" for i in range(report.occupations.size)],
+                     [[report.current, report.energy_current, *report.qdot, report.p_chem,
+                       report.sigma, *report.occupations]])
     if args.transmission:
         leads = (cfg.bath1.spectral_function(), cfg.bath2.spectral_function())
         with _out_stream(args.transmission) as fh:
-            transmission_to_csv(fh, *transmission_table(SystemSpec.two_site(cfg.g), leads))
+            _write_table(fh, ["omega", "T"],
+                         zip(*transmission_table(SystemSpec.two_site(cfg.g), leads)))
     return EXIT_OK
 
 

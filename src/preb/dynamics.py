@@ -14,7 +14,6 @@ the Fermi factors to the set-up's ``CycleMap``, so a step costs O(l_b).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,9 +23,6 @@ from .propagator import CycleMap
 from .spectral import BathThermalSpec
 
 ENTROPY_CLIP = 1e-14
-
-TRAJECTORY_COLUMNS = ["step", "deltaU", "W_ext", "W_chem", "Q1", "Q2", "dS", "Sigma",
-                      "dist_to_ness"]
 
 
 def gaussian_entropy(c_s: np.ndarray) -> float:
@@ -178,15 +174,3 @@ def cumulative_thermo(steps: Sequence[StepThermo], tau: float) -> CumulativeTher
     t = n * tau
     return CumulativeThermo(n, du, w_ext, w_chem, (q1, q2), ds, sigma, (dn1, dn2),
                             w_ext / t, w_chem / t, (q1 / t, q2 / t), sigma / t)
-
-
-def trajectory_to_csv(fh, steps: Sequence[StepThermo],
-                      dist_to_ness: Optional[Sequence[float]] = None) -> None:
-    """Write one row per cycle with the columns documented in TRAJECTORY_COLUMNS."""
-    writer = csv.writer(fh)
-    writer.writerow(TRAJECTORY_COLUMNS)
-    for i, st in enumerate(steps):
-        dist = "" if dist_to_ness is None else f"{dist_to_ness[i]:.12g}"
-        writer.writerow([i + 1] + [f"{v:.12g}" for v in
-                                   (st.du, st.w_ext, st.w_chem, st.q[0], st.q[1],
-                                    st.ds, st.sigma)] + [dist])

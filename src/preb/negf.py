@@ -17,7 +17,6 @@ with this module at large cycle times.
 
 from __future__ import annotations
 
-import csv
 import logging
 import warnings
 from dataclasses import dataclass
@@ -185,23 +184,3 @@ def transmission_table(system: SystemSpec, leads: tuple[SpectralFunction, Spectr
     g = _resolvent(system, sigmas, w)
     t = leads[0](w) * leads[1](w) * np.abs(g[:, i1, i2]) ** 2
     return w, t
-
-
-# -- CSV ---------------------------------------------------------------------
-
-
-def negf_to_csv(fh, report: NegfReport) -> None:
-    """Header ``I,J,Q1,Q2,P_chem,sigma,n1,n2,...`` and the report's one row."""
-    writer = csv.writer(fh)
-    writer.writerow(["I", "J", "Q1", "Q2", "P_chem", "sigma"]
-                    + [f"n{i + 1}" for i in range(report.occupations.size)])
-    writer.writerow([f"{v:.12g}" for v in (report.current, report.energy_current,
-                                           *report.qdot, report.p_chem, report.sigma,
-                                           *report.occupations)])
-
-
-def transmission_to_csv(fh, omega: np.ndarray, t: np.ndarray) -> None:
-    """Rows ``omega,T``, as returned by ``transmission_table``."""
-    writer = csv.writer(fh)
-    writer.writerow(["omega", "T"])
-    writer.writerows([f"{wi:.12g}", f"{ti:.12g}"] for wi, ti in zip(omega, t))

@@ -23,7 +23,6 @@ process-wide caches, both emptied by ``clear_caches()``:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -114,9 +113,11 @@ class NessBundle:
         if cfg.bath1.kind == "lorentzian" and cfg.bath2.kind == "lorentzian":
             tau_r = rethermalization_estimate(min(cfg.bath1.lam, cfg.bath2.lam),
                                               cfg.process.tau_r_factor)
-            if not math.isfinite(tau_r):
+            ratio = tau_r / cfg.process.tau
+            if not ratio < 2.0 ** 53:
                 raise ConfigError(f"process.tau_r_factor = {cfg.process.tau_r_factor:g} "
-                                  f"makes tau_R = factor / (2 lambda) overflow")
+                                  f"makes tau_R / tau = factor / (2 lambda tau) = {ratio:g}; "
+                                  f"from 2**53 on the copy count is not an exact integer")
             report.n_copies = copies_required(tau_r, cfg.process.tau)
         return report
 

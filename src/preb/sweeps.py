@@ -1,8 +1,7 @@
-"""Parameter sweeps over tau / lambda / mu / beta1 with deterministic CSV output."""
+"""Parameter sweeps over tau / lambda / mu / beta1: one steady-state solve per grid point."""
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -14,9 +13,7 @@ import numpy as np
 from .config import RunConfig, SweepConfig
 from .errors import ConfigError, PrebError
 from .pipeline import run_ness
-from .thermo import REPORT_COLUMNS, NessReport
-
-SWEEP_COLUMNS = REPORT_COLUMNS + ["error"]
+from .thermo import NessReport
 
 
 @dataclass(frozen=True)
@@ -77,24 +74,3 @@ def run_sweep(cfg: RunConfig, jobs: int = 1) -> list[SweepRow]:
         outcomes = [_run_point(c) for c in configs]
     return [SweepRow(value=float(v), report=rep, error=err)
             for v, (rep, err) in zip(values, outcomes)]
-
-
-_AXIS_COLUMN = {"tau": 0, "lambda": 1, "mu": 2, "beta1": 3}
-
-
-def sweep_to_csv(fh, rows: list[SweepRow], axis: str = "tau") -> None:
-    writer = csv.writer(fh)
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        if row.report is not None:
-            writer.writerow(row.report.csv_row() + [""])
-        else:
-            cells = [""] * len(REPORT_COLUMNS)
-            cells[_AXIS_COLUMN[axis]] = f"{row.value:.12g}"
-            writer.writerow(cells + [row.error])
-
-
-def report_to_csv(fh, report: NessReport) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(REPORT_COLUMNS)
-    writer.writerow(report.csv_row())

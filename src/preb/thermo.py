@@ -27,10 +27,6 @@ DEAD_BAND = 1e-12
 RESIDUAL_TOL = 1e-8  # of the fixed point, relative to max(1, |C|)
 STATIONARITY_TOL = 1e-9  # of dU and dS, relative to the step's largest flow
 
-REPORT_COLUMNS = ["tau", "lambda", "mu", "beta1", "beta2", "P_ext", "P_chem",
-                  "Q1", "Q2", "N1", "sigma", "regime", "eta", "eta_c",
-                  "cop", "cop_c", "r", "radius", "Ncopies"]
-
 
 @dataclass
 class NessReport:
@@ -59,18 +55,6 @@ class NessReport:
     n_copies: Optional[int] = None
     lam: Optional[float] = None
     step: Optional[StepThermo] = field(default=None, repr=False)
-
-    def csv_row(self) -> list[str]:
-        def num(x):
-            return "" if x is None else f"{x:.12g}"
-
-        return [num(self.tau), num(self.lam), num(self.mu), num(self.beta1),
-                num(self.beta2), num(self.p_ext), num(self.p_chem),
-                num(self.qdot[0]), num(self.qdot[1]), num(self.ndot[0]),
-                num(self.sigma), self.regime, num(self.eta), num(self.eta_c),
-                num(self.cop), num(self.cop_c), num(self.r),
-                num(self.spectral_radius),
-                "" if self.n_copies is None else str(self.n_copies)]
 
 
 def carnot_efficiency(beta1: float, beta2: float) -> float:

@@ -15,7 +15,7 @@ __all__ = ["engine_config", "fridge_config", "fixed_config"]
 
 
 def chain_from_csv(path) -> ChainCoefficients:
-    """Read back a ``p,eps,hop`` file written by ``ChainCoefficients.to_csv``."""
+    """Read back a ``p,eps,hop`` file written by ``preb chainmap --out``."""
     eps, hop = {}, {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -1,15 +1,20 @@
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import chain_from_csv
+from preb import cli
 from preb.chainmap import (ChainCoefficients, chain_map_recursion,
                            chain_map_tridiag, discretize_modes, star_to_chain)
+from preb.config import parse_config
 from preb.errors import NumericsError
+from preb.pipeline import run_chainmap
 from preb.spectral import SpectralFunction
 
+ROOT = Path(__file__).resolve().parent.parent
 NARROW = SpectralFunction.lorentzian(2.0, 0.01, 2.0, 6.0)
 FLAT = SpectralFunction.flat(0.5, 6.0)
 RESUME_LINE = "resuming with CGS2"
@@ -231,13 +236,14 @@ class TestChainCoefficients:
             assert np.all(np.isfinite(cc.eps)) and np.all(np.isfinite(cc.hop))
 
     def test_csv_roundtrip_is_exact(self, tmp_path):
-        cc = chain_map_tridiag(NARROW, 12)
-        path = tmp_path / "chain.csv"
-        with open(path, "w", newline="") as fh:
-            cc.to_csv(fh)
-        back = chain_from_csv(path)
-        assert_allclose(back.eps, cc.eps, rtol=0, atol=0)
-        assert_allclose(back.hop, cc.hop, rtol=0, atol=0)
+        """The files of ``preb chainmap --out`` read back to the very chains it mapped."""
+        config = ROOT / "configs" / "heat_engine.ini"
+        base = tmp_path / "chain"
+        assert cli.main(["chainmap", str(config), "--out", str(base)]) == 0
+        for ell, cc in enumerate(run_chainmap(parse_config(config))):
+            back = chain_from_csv(f"{base}.bath{ell + 1}.csv")
+            assert_allclose(back.eps, cc.eps, rtol=0, atol=0)
+            assert_allclose(back.hop, cc.hop, rtol=0, atol=0)
 
 
 def test_recursion_rejects_empty_spectrum():

@@ -109,3 +109,10 @@ def test_every_table_ends_lines_in_crlf(tmp_path, capsys):
         assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", ""), name
     stdout_block = texts["chainmap"].split("# bath2\r\n")[0].removeprefix("# bath1\r\n")
     assert texts["chain.bath1.csv"] == stdout_block
+
+
+def test_cli_is_the_only_table_writer():
+    """One writer keeps one format: no module of the package but cli.py uses csv.writer."""
+    package = Path(cli.__file__).parent
+    assert sorted(path.name for path in package.glob("*.py")
+                  if "csv.writer" in path.read_text()) == ["cli.py"]

@@ -1,6 +1,7 @@
 import io
 import runpy
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from conftest import chain_from_csv
 from preb import cli, sweeps
 from preb.config import ConfigError, parse_config
 from preb.pipeline import run_ness, run_trajectory
-from preb.sweeps import SWEEP_COLUMNS, apply_axis, run_sweep, sweep_to_csv
-from preb.thermo import REPORT_COLUMNS
+from preb.sweeps import SweepRow, apply_axis, run_sweep
 from preb.validation import run_validation
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ENGINE_INI = textwrap.dedent("""\
     [system]
@@ -144,13 +146,13 @@ class TestSweeps:
             assert row.report.qdot == solo.qdot
 
     def test_csv_is_deterministic(self, tmp_path):
-        cfg = parse_config(self.sweep_ini(tmp_path))
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        sweep_to_csv(buf1, run_sweep(cfg), axis="tau")
-        sweep_to_csv(buf2, run_sweep(cfg), axis="tau")
-        assert buf1.getvalue() == buf2.getvalue()
-        header = buf1.getvalue().splitlines()[0]
-        assert header == ",".join(SWEEP_COLUMNS)
+        path = self.sweep_ini(tmp_path)
+        out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert cli.main(["sweep", path, "--out", str(out1)]) == 0
+        assert cli.main(["sweep", path, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        header = out1.read_text().splitlines()[0]
+        assert header == ",".join(cli.SWEEP_COLUMNS)
 
     def test_failing_points_land_in_error_column(self, tmp_path):
         path = weak_tabulated_ini(tmp_path, """
@@ -165,11 +167,25 @@ class TestSweeps:
         assert all(r.report is None for r in rows)
         assert all("NESS" in r.error or "Error" in r.error for r in rows)
         buf = io.StringIO()
-        sweep_to_csv(buf, rows, axis="tau")
+        cli._write_table(buf, cli.SWEEP_COLUMNS, [cli._sweep_row(row, "tau") for row in rows])
         assert len(buf.getvalue().splitlines()) == 3
 
+    @pytest.mark.parametrize("axis", ["tau", "lambda", "mu", "beta1"])
+    def test_failed_row_keeps_its_value_in_the_axis_column(self, axis):
+        rows = [SweepRow(0.25, None, "err"), SweepRow(-3.5, None, "err")]
+        buf = io.StringIO()
+        cli._write_table(buf, cli.SWEEP_COLUMNS, [cli._sweep_row(row, axis) for row in rows])
+        header, *lines = buf.getvalue().splitlines()
+        column = header.split(",").index(axis)
+        for row, line in zip(rows, lines):
+            cells = line.split(",")
+            assert len(cells) == len(cli.SWEEP_COLUMNS)
+            assert cells[column] == f"{row.value:.12g}" and cells[-1] == "err"
+            assert cells[:column] + cells[column + 1:-1] == [""] * (len(cells) - 2)
+
     def test_overflowing_tau_r_lands_in_error_column(self, tmp_path):
-        """tau_R = factor / (2 lambda) overflows at lambda = 0.1 but not at lambda = 1."""
+        """tau_R = factor / (2 lambda) overflows at lambda = 0.1; at lambda = 1 it is finite,
+        but tau_R / tau = 5e307 is far beyond an exact copy count.  Both rows are errors."""
         path = tmp_path / "sweep.ini"
         ini = ENGINE_INI.replace("l0 = 5", "l0 = 5\ntau_r_factor = 1e308")
         path.write_text(ini + textwrap.dedent("""
@@ -182,14 +198,14 @@ class TestSweeps:
         """))
         rows = run_sweep(parse_config(path))
         assert rows[0].report is None and "process.tau_r_factor" in rows[0].error
-        assert rows[1].error is None and rows[1].report.n_copies > 10 ** 300
+        assert rows[1].report is None and "process.tau_r_factor" in rows[1].error
 
     def test_parallel_equals_serial(self, tmp_path):
         cfg = parse_config(self.sweep_ini(tmp_path))
         serial = run_sweep(cfg, jobs=1)
         parallel = run_sweep(cfg, jobs=2)
         for a, b in zip(serial, parallel):
-            assert a.report.csv_row() == b.report.csv_row()
+            assert cli._report_row(a.report) == cli._report_row(b.report)
 
     @pytest.mark.parametrize("jobs, cpus, points, expected", [
         (10 ** 6, 8, 3, 3),   # never more workers than points
@@ -226,9 +242,9 @@ class TestCli:
         out = tmp_path / "row.csv"
         assert cli.main(["ness", engine_ini, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == ",".join(REPORT_COLUMNS)
+        assert lines[0] == ",".join(cli.REPORT_COLUMNS)
         cells = lines[1].split(",")
-        assert cells[REPORT_COLUMNS.index("regime")] == "heat-engine"
+        assert cells[cli.REPORT_COLUMNS.index("regime")] == "heat-engine"
 
     def test_ness_to_stdout(self, engine_ini, capsys):
         assert cli.main(["ness", engine_ini]) == 0
@@ -288,8 +304,10 @@ class TestCli:
         ("[system]\ng = nan\n", "system.g"),
         ("[bath1]\nbeta = inf\n", "bath1.beta"),
         ("[process]\ntau_r_factor = 1e308\n", "process.tau_r_factor"),  # tau_R overflows
+        ("[bath1]\nlambda = 1\n[bath2]\nlambda = 1\n[process]\ntau_r_factor = 1e308\n",
+         "process.tau_r_factor"),  # tau_R / tau = 5e307 is finite but beyond 2**53
     ], ids=["tau-nan", "tau-inf", "lambda-nan", "kappa-inf", "g-nan", "beta-inf",
-            "tau_r-overflow"])
+            "tau_r-overflow", "tau_r-inexact-count"])
     def test_nonfinite_value_exit_code(self, tmp_path, capsys, text, key):
         path = tmp_path / "nonfinite.ini"
         path.write_text(text)
@@ -387,6 +405,28 @@ class TestCli:
         assert cli.main(["sweep", str(path)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
+
+    @pytest.mark.parametrize("factor, cell", [
+        (2.0 ** 53 - 1, "9007199254740992"),
+        (2.0 ** 53, None),
+    ], ids=["below-2**53", "at-2**53"])
+    def test_copy_count_is_exact_up_to_2_53(self, tmp_path, capsys, factor, cell):
+        """At lambda = 1/2 and tau = 1, tau_R / tau equals the factor; every copy is printed."""
+        path = tmp_path / "copies.ini"
+        path.write_text(f"[bath1]\nlambda = 0.5\n[bath2]\nlambda = 0.5\n"
+                        f"[process]\ntau = 1.0\ntau_r_factor = {factor!r}\n")
+        out = tmp_path / "row.csv"
+        code = cli.main(["ness", str(path), "--out", str(out)])
+        if cell is None:
+            assert code == 2 and "process.tau_r_factor" in capsys.readouterr().err
+        else:
+            assert code == 0
+            assert out.read_text().splitlines()[1].split(",")[-1] == cell
+
+    def test_sweep_without_sweep_section_exit_code(self, capsys):
+        assert cli.main(["sweep", str(ROOT / "configs" / "heat_engine.ini")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "configuration error" in err and "[sweep]" in err
 
     def test_depth_at_the_light_cone_is_legal(self, tmp_path):
         """At tau = 1 the light cone ceil(g_B tau) is 4 sites: a 4-site chain runs."""

@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 
 from conftest import bundle_setup, decoupled_bundle_pieces, engine_config
 from preb.builder import thermal_correlation
-from preb.dynamics import (TRAJECTORY_COLUMNS, StepThermo, cumulative_thermo,
-                           gaussian_entropy, preb_step, preb_trajectory,
-                           step_thermodynamics, trajectory_to_csv)
+from preb import cli
+from preb.dynamics import (StepThermo, cumulative_thermo, gaussian_entropy, preb_step,
+                           preb_trajectory, step_thermodynamics)
 from preb.pipeline import build_bundle, run_negf
 from preb.propagator import cycle_map, step_propagator
 from preb.sweeps import apply_axis
@@ -308,9 +308,10 @@ def test_trajectory_csv_format(engine_bundle):
                            c_ness=engine_bundle.solve_ness())
     steps = [account(c, engine_bundle) for c in traj.states[:-1]]
     buf = io.StringIO()
-    trajectory_to_csv(buf, steps, traj.dist_to_ness[1:])
+    cli._write_table(buf, cli.TRAJECTORY_COLUMNS,
+                     cli._trajectory_rows(steps, traj.dist_to_ness[1:]))
     lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == ",".join(TRAJECTORY_COLUMNS)
+    assert lines[0] == ",".join(cli.TRAJECTORY_COLUMNS)
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "1"

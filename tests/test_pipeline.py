@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import engine_config, write_spectral_table
+from preb import cli
 from preb.chainmap import chain_map_tridiag
 from preb.config import BathConfig, parse_config
 from preb.dynamics import preb_step
@@ -75,7 +76,7 @@ class TestTrajectoryRun:
     def test_repeated_runs_are_identical(self):
         rep1 = run_ness(engine_config())
         rep2 = run_ness(engine_config())
-        assert rep1.csv_row() == rep2.csv_row()
+        assert cli._report_row(rep1) == cli._report_row(rep2)
 
 
 class TestWorkPerPoint:

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import engine_config, fixed_config, fridge_config
+from preb import cli
 from preb.errors import NumericsError
 from preb.pipeline import run_ness
-from preb.sweeps import report_to_csv
 from preb.thermo import (REGIME_DUD, REGIME_HEAT_ENGINE, REGIME_REFRIGERATOR,
-                         REPORT_COLUMNS, NessReport, carnot_cop, carnot_efficiency,
+                         NessReport, carnot_cop, carnot_efficiency,
                          classify_regime, collisional_limit,
                          curzon_ahlborn_efficiency, ness_rates,
                          tight_coupling_check)
@@ -130,12 +130,12 @@ class TestTightCoupling:
 class TestReportSerialization:
     def test_columns_and_determinism(self):
         rep = run_ness(engine_config())
-        row = rep.csv_row()
-        assert len(row) == len(REPORT_COLUMNS)
-        assert row[REPORT_COLUMNS.index("regime")] == REGIME_HEAT_ENGINE
+        row = cli._report_row(rep)
+        assert len(row) == len(cli.REPORT_COLUMNS)
+        assert row[cli.REPORT_COLUMNS.index("regime")] == REGIME_HEAT_ENGINE
         buf1, buf2 = io.StringIO(), io.StringIO()
-        report_to_csv(buf1, rep)
-        report_to_csv(buf2, run_ness(engine_config()))
+        cli._write_table(buf1, cli.REPORT_COLUMNS, [row])
+        cli._write_table(buf2, cli.REPORT_COLUMNS, [cli._report_row(run_ness(engine_config()))])
         assert buf1.getvalue() == buf2.getvalue()
 
     def test_copies_estimate_scales_with_bath_width(self):

@@ -168,7 +168,7 @@ def copies_required(tau_r: float, tau: float) -> int:
     return int(math.ceil(_snap(tau_r / tau))) + 1
 
 
-def rethermalization_estimate(lam: float, tau_r_factor: float = 10.0) -> float:
+def rethermalization_estimate(lam: float, tau_r_factor: float) -> float:
     """Self-rethermalization time scale of a Lorentzian bath, c / (2 lam).
 
     The underlying bound is only a lower-bound scale, so the returned value is

@@ -33,7 +33,7 @@ coupling of the recursion above.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -65,7 +65,8 @@ class ChainCoefficients:
 
     ``eps[p-1]`` is the energy of chain site p (p = 1..depth); ``hop[0]`` is the
     system-chain coupling g_0 and ``hop[p]`` connects sites p and p+1.  The
-    asymptotic pair (eps_asym, hop_asym) is the tail average; ``residual`` holds
+    asymptotic pair (eps_asym, hop_asym) is the tail average, computed from the
+    arrays, so ``dataclasses.replace`` recomputes it too; ``residual`` holds
     the spectral function left over at the truncation depth when the producing
     route provides one.  The coefficient arrays are read-only copies, so a
     cached chain cannot be edited under the set-ups that share it.
@@ -73,10 +74,10 @@ class ChainCoefficients:
 
     eps: np.ndarray
     hop: np.ndarray
-    eps_asym: Optional[float] = None
-    hop_asym: Optional[float] = None
-    tail_deviation: Optional[float] = None
     residual: Optional[SpectralTable] = None
+    eps_asym: float = field(init=False)
+    hop_asym: float = field(init=False)
+    tail_deviation: float = field(init=False)
 
     def __post_init__(self):
         eps = np.array(self.eps, dtype=float)
@@ -91,11 +92,9 @@ class ChainCoefficients:
         for name, array in (("eps", eps), ("hop", hop)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        if self.eps_asym is None:
-            ea, ha, dev = _tail_stats(eps, hop)
-            object.__setattr__(self, "eps_asym", ea)
-            object.__setattr__(self, "hop_asym", ha)
-            object.__setattr__(self, "tail_deviation", dev)
+        for name, value in zip(("eps_asym", "hop_asym", "tail_deviation"),
+                               _tail_stats(eps, hop)):
+            object.__setattr__(self, name, value)
 
     @property
     def depth(self) -> int:

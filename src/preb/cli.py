@@ -46,9 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Refreshed-bath steady states and their thermodynamics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("config", help="INI configuration file")
+    def add_common(p):
+        p.add_argument("config", help="INI configuration file")
         p.add_argument("--out", help="output CSV path (default: stdout)")
         p.add_argument("--l0", type=int, help="override the chain-length offset L_0")
         p.add_argument("--depth", type=int,

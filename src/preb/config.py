@@ -73,18 +73,23 @@ class RunConfig:
         return dataclasses.replace(self, **kwargs)
 
 
+def fixed_config(beta1: float, beta2: float, mu: float, lam: float,
+                 tau: float) -> RunConfig:
+    """The worked example family: the default baths at the given temperatures, mu and width."""
+    baths = RunConfig()
+    return RunConfig(bath1=dataclasses.replace(baths.bath1, lam=lam, beta=beta1, mu=mu),
+                     bath2=dataclasses.replace(baths.bath2, lam=lam, beta=beta2, mu=mu),
+                     process=ProcessConfig(tau=tau))
+
+
 def heat_engine_preset(lam: float = 0.05, tau: float = 1.0) -> RunConfig:
     """Hot bath 1 at beta = 0.1, cold bath 2 at beta = 1, mu = -2."""
-    return RunConfig(bath1=BathConfig(lam=lam, beta=0.1),
-                     bath2=BathConfig(lam=lam, omega0=-1.0, beta=1.0),
-                     process=ProcessConfig(tau=tau))
+    return fixed_config(0.1, 1.0, -2.0, lam, tau)
 
 
 def refrigerator_preset(lam: float = 0.05, tau: float = 1.0) -> RunConfig:
     """Bath 1 at beta = 0.7, bath 2 at beta = 1, mu = -2."""
-    return RunConfig(bath1=BathConfig(lam=lam, beta=0.7),
-                     bath2=BathConfig(lam=lam, omega0=-1.0, beta=1.0),
-                     process=ProcessConfig(tau=tau))
+    return fixed_config(0.7, 1.0, -2.0, lam, tau)
 
 
 _BATH_FIELDS = {
@@ -96,6 +101,8 @@ _PROCESS_FIELDS = {
 }
 _SWEEP_FIELDS = {"axis": str, "min": float, "max": float, "points": int, "spacing": str}
 _SYSTEM_FIELDS = {"g": float}
+# INI keys whose dataclass field has another name
+_FIELD_NAMES = {"lambda": "lam", "l0": "l_0", "min": "minimum", "max": "maximum"}
 
 SWEEP_AXES = ("tau", "lambda", "mu", "beta1")
 POSITIVE_AXES = ("tau", "lambda", "beta1")
@@ -112,11 +119,12 @@ def _section(parser: configparser.ConfigParser, name: str, fields: dict) -> dict
         if key not in fields:
             raise ConfigError(f"unknown key '{key}' in section [{name}]")
         try:
-            out[key] = fields[key](raw)
+            value = fields[key](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {name}.{key}: {raw!r}") from exc
-        if isinstance(out[key], float) and not math.isfinite(out[key]):
+        if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name}.{key} must be finite, got {raw!r}")
+        out[_FIELD_NAMES.get(key, key)] = value
     return out
 
 
@@ -139,33 +147,23 @@ def parse_config(path) -> RunConfig:
 
     system = _section(parser, "system", _SYSTEM_FIELDS)
     defaults = RunConfig()
-    bath1_raw = _section(parser, "bath1", _BATH_FIELDS)
-    bath2_raw = _section(parser, "bath2", _BATH_FIELDS)
     # per-bath defaults follow the worked example (peak +2 hot, peak -1 cold)
-    bath1 = dataclasses.replace(defaults.bath1, **_as_fields(bath1_raw))
-    bath2 = dataclasses.replace(defaults.bath2, **_as_fields(bath2_raw))
+    bath1 = dataclasses.replace(defaults.bath1, **_section(parser, "bath1", _BATH_FIELDS))
+    bath2 = dataclasses.replace(defaults.bath2, **_section(parser, "bath2", _BATH_FIELDS))
 
-    proc_raw = _section(parser, "process", _PROCESS_FIELDS)
-    if "l0" in proc_raw:
-        proc_raw["l_0"] = proc_raw.pop("l0")
-    process = dataclasses.replace(defaults.process, **proc_raw)
+    process = dataclasses.replace(defaults.process,
+                                  **_section(parser, "process", _PROCESS_FIELDS))
     validate_process(process)
 
     sweep = None
     if parser.has_section("sweep"):
-        sraw = _section(parser, "sweep", _SWEEP_FIELDS)
-        sraw = {{"min": "minimum", "max": "maximum"}.get(k, k): v for k, v in sraw.items()}
-        sweep = dataclasses.replace(SweepConfig(), **sraw)
+        sweep = dataclasses.replace(SweepConfig(), **_section(parser, "sweep", _SWEEP_FIELDS))
         _validate_sweep(sweep)
 
     cfg = RunConfig(g=system.get("g", defaults.g), bath1=bath1, bath2=bath2,
                     process=process, sweep=sweep)
     _validate_run(cfg)
     return cfg
-
-
-def _as_fields(values: dict) -> dict:
-    return {("lam" if k == "lambda" else k): v for k, v in values.items()}
 
 
 def validate_process(process: ProcessConfig) -> None:

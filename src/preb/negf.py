@@ -30,7 +30,6 @@ from .spectral import (BathThermalSpec, SpectralFunction, fermi_occupation,
 log = logging.getLogger(__name__)
 
 QUAD_ABS_TOL = 1e-9
-WINDOW_MARGIN = 0.05
 LEAD_GRID_POINTS = 16384
 MAX_HALVINGS = 18  # a panel stops refining at 8 * 2**18 Simpson intervals
 TRANSMISSION_POINTS = 2001
@@ -41,7 +40,7 @@ class LeadSelfEnergy:
 
     def __init__(self, sf: SpectralFunction):
         self.sf = sf
-        self.grid = frequency_grid(sf, points=LEAD_GRID_POINTS, margin=WINDOW_MARGIN)
+        self.grid = frequency_grid(sf, points=LEAD_GRID_POINTS)
         self.j_grid = sf(self.grid)
         self.jh_grid = hilbert_transform(self.grid, self.j_grid)
 
@@ -66,6 +65,14 @@ def _resolvent(system: SystemSpec, sigmas: tuple[LeadSelfEnergy, LeadSelfEnergy]
         a[:, i1, i1] -= 1e-12j
         a[:, i2, i2] -= 1e-12j
         return np.linalg.inv(a)
+
+
+def _transmission(system: SystemSpec, leads: tuple[SpectralFunction, SpectralFunction],
+                  sigmas: tuple[LeadSelfEnergy, LeadSelfEnergy], w: np.ndarray) -> np.ndarray:
+    """T(w) = Gamma_1 Gamma_2 |G^r_{i1 i2}|^2 with G^r the dressed system resolvent."""
+    i1, i2 = system.coupling_sites
+    g = _resolvent(system, sigmas, w)
+    return leads[0](w) * leads[1](w) * np.abs(g[:, i1, i2]) ** 2
 
 
 @dataclass(frozen=True)
@@ -104,9 +111,7 @@ def _panel_quad(f, a: float, b: float, abs_tol: float):
 
 
 def _integrate(f, breakpoints: np.ndarray) -> np.ndarray:
-    panels = [(a, b) for a, b in zip(breakpoints[:-1], breakpoints[1:]) if b > a]
-    if not panels:
-        return f(np.array([0.0]))[..., 0] * 0.0
+    panels = list(zip(breakpoints[:-1], breakpoints[1:]))  # strictly increasing: np.unique
     tol = QUAD_ABS_TOL / len(panels)
     return sum(_panel_quad(f, a, b, tol) for a, b in panels)
 
@@ -120,17 +125,15 @@ def _breakpoints(leads, specs, lo: float, hi: float) -> np.ndarray:
         pts.extend(sf.support)
     for spec in specs:
         pts.append(spec.mu)
-    pts = np.array(sorted(p for p in pts if lo <= p <= hi))
-    return np.unique(pts)
+    return np.unique([p for p in pts if lo <= p <= hi])
 
 
 def landauer_currents(system: SystemSpec, leads: tuple[SpectralFunction, SpectralFunction],
                       specs: tuple[BathThermalSpec, BathThermalSpec]) -> NegfReport:
     """Particle and energy currents plus steady occupations of the autonomous process.
 
-    T(w) = Gamma_1 Gamma_2 |G^r_{i1 i2}|^2 with G^r the dressed system resolvent;
-    currents are (1/2pi) integrals of T and w T against f_1 - f_2 over the
-    overlap of the lead supports.
+    The currents are (1/2pi) integrals of the transmission T and w T against
+    f_1 - f_2 over the overlap of the lead supports.
     """
     i1, i2 = system.coupling_sites
     sigmas = (LeadSelfEnergy(leads[0]), LeadSelfEnergy(leads[1]))
@@ -139,8 +142,7 @@ def landauer_currents(system: SystemSpec, leads: tuple[SpectralFunction, Spectra
     lo_t, hi_t = max(lo1, lo2), min(hi1, hi2)
 
     def current_integrand(w: np.ndarray) -> np.ndarray:
-        g = _resolvent(system, sigmas, w)
-        t = leads[0](w) * leads[1](w) * np.abs(g[:, i1, i2]) ** 2
+        t = _transmission(system, leads, sigmas, w)
         df = fermi_occupation(specs[0], w) - fermi_occupation(specs[1], w)
         base = t * df / (2 * np.pi)
         return np.stack([base, w * base])
@@ -176,11 +178,8 @@ def landauer_currents(system: SystemSpec, leads: tuple[SpectralFunction, Spectra
 def transmission_table(system: SystemSpec, leads: tuple[SpectralFunction, SpectralFunction]
                        ) -> tuple[np.ndarray, np.ndarray]:
     """T(w) sampled over the overlap of the lead supports."""
-    i1, i2 = system.coupling_sites
     sigmas = (LeadSelfEnergy(leads[0]), LeadSelfEnergy(leads[1]))
     lo = max(leads[0].support[0], leads[1].support[0])
     hi = min(leads[0].support[1], leads[1].support[1])
     w = np.linspace(lo, hi, TRANSMISSION_POINTS)
-    g = _resolvent(system, sigmas, w)
-    t = leads[0](w) * leads[1](w) * np.abs(g[:, i1, i2]) ** 2
-    return w, t
+    return w, _transmission(system, leads, sigmas, w)

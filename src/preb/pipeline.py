@@ -22,6 +22,7 @@ process-wide caches, both emptied by ``clear_caches()``:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Optional
@@ -149,11 +150,11 @@ def _set_up(sfs: tuple[SpectralFunction, SpectralFunction], n_modes: Optional[in
     return chains, cycle_map(setup, tau)
 
 
-def build_bundle(cfg: RunConfig, l_b: Optional[int] = None) -> NessBundle:
+def build_bundle(cfg: RunConfig) -> NessBundle:
     """Every intermediate of one point; the set-up part comes from the set-up cache."""
-    l_b = l_b if l_b is not None else chain_depth(cfg)
     sfs = (cfg.bath1.spectral_function(), cfg.bath2.spectral_function())
-    chains, cycle = _set_up(sfs, cfg.process.n_modes, l_b, cfg.g, cfg.process.tau)
+    chains, cycle = _set_up(sfs, cfg.process.n_modes, chain_depth(cfg), cfg.g,
+                            cfg.process.tau)
     specs = (BathThermalSpec(cfg.bath1.beta, cfg.bath1.mu),
              BathThermalSpec(cfg.bath2.beta, cfg.bath2.mu))
     occupations = tuple(fermi_occupation(spec, energies)
@@ -211,7 +212,8 @@ def chain_size_convergence(cfg: RunConfig) -> float:
     light-cone sizing of the chains.
     """
     base = run_ness(cfg)
-    ref = build_bundle(cfg, l_b=2 * chain_depth(cfg)).report()
+    ref = run_ness(cfg.replace(process=dataclasses.replace(cfg.process,
+                                                           depth=2 * chain_depth(cfg))))
     scale = max(abs(ref.qdot[0]), abs(ref.qdot[1]), abs(ref.p_ext), 1e-12)
     return max(abs(base.p_ext - ref.p_ext), abs(base.qdot[0] - ref.qdot[0]),
                abs(base.qdot[1] - ref.qdot[1])) / scale

@@ -176,8 +176,9 @@ def drive_matrix(cycle: CycleMap, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
 def stability_rate(g_s: np.ndarray, tau: float) -> tuple[float, float]:
     """Spectral radius of the system block and the approach rate r = -ln(radius)/tau.
 
-    A radius >= 1 yields r <= 0; it is returned rather than raised so sweeps can
-    flag the point.
+    A radius >= 1 would yield r <= 0, but no report carries one:
+    ``solve_dlyap_direct`` raises ``NoUniqueNessError`` for such a point first,
+    and a sweep puts it in its error column.
     """
     if not (tau > 0):
         raise ValueError("tau must be positive")

@@ -24,7 +24,7 @@ FLAT = "flat"
 TABULATED = "tabulated"
 
 DEFAULT_GRID_POINTS = 8192
-DEFAULT_GRID_MARGIN = 0.05
+GRID_MARGIN = 0.05  # the grid reaches this fraction of max|support| past each end
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,11 +225,10 @@ def fermi_occupation(spec: BathThermalSpec, omega):
 # -- grids and the Hilbert transform ----------------------------------------
 
 
-def frequency_grid(sf: SpectralFunction, points: int = DEFAULT_GRID_POINTS,
-                   margin: float = DEFAULT_GRID_MARGIN) -> np.ndarray:
-    """Uniform grid covering the support of ``sf`` with a relative margin."""
+def frequency_grid(sf: SpectralFunction, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+    """Uniform grid covering the support of ``sf`` with the relative margin ``GRID_MARGIN``."""
     lo, hi = sf.support
-    pad = margin * max(abs(lo), abs(hi))
+    pad = GRID_MARGIN * max(abs(lo), abs(hi))
     return np.linspace(lo - pad, hi + pad, points)
 
 

@@ -33,11 +33,15 @@ def apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     """A copy of the configuration with one swept parameter replaced.
 
     The lambda and mu axes move both baths together, matching the worked
-    example family; beta1 moves only the hot bath.
+    example family; beta1 moves only the hot bath.  Only a Lorentzian bath has
+    a width, so the lambda axis needs both baths Lorentzian.
     """
     if axis == "tau":
         return cfg.replace(process=dataclasses.replace(cfg.process, tau=float(value)))
     if axis == "lambda":
+        if not cfg.bath1.kind == cfg.bath2.kind == "lorentzian":
+            raise ConfigError(f"sweep.axis = lambda needs two Lorentzian baths, got "
+                              f"{cfg.bath1.kind} and {cfg.bath2.kind}")
         return cfg.replace(bath1=dataclasses.replace(cfg.bath1, lam=float(value)),
                            bath2=dataclasses.replace(cfg.bath2, lam=float(value)))
     if axis == "mu":

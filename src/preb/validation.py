@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .chainmap import chain_map_recursion, chain_map_tridiag
-from .config import (BathConfig, ProcessConfig, RunConfig, heat_engine_preset,
-                     refrigerator_preset)
-from .dynamics import cumulative_thermo
+from .config import fixed_config, heat_engine_preset, refrigerator_preset
+from .dynamics import cumulative_thermo, preb_step
 from .pipeline import build_bundle, run_negf, run_ness, run_trajectory
 from .spectral import SpectralFunction
 from .sweeps import apply_axis
@@ -24,19 +23,10 @@ from .thermo import (REGIME_HEAT_ENGINE, carnot_cop, carnot_efficiency,
                      collisional_limit, curzon_ahlborn_efficiency,
                      tight_coupling_check)
 
-OMEGA01, OMEGA02 = 2.0, -1.0
-KAPPA, CUTOFF = 2.0, 6.0
-
-
-def fixed_config(beta1: float, beta2: float, mu: float, lam: float,
-                 tau: float) -> RunConfig:
-    """The worked example family: two-site system, Lorentzian baths at +2 / -1."""
-    return RunConfig(
-        bath1=BathConfig(kappa=KAPPA, lam=lam, omega0=OMEGA01, cutoff=CUTOFF,
-                         beta=beta1, mu=mu),
-        bath2=BathConfig(kappa=KAPPA, lam=lam, omega0=OMEGA02, cutoff=CUTOFF,
-                         beta=beta2, mu=mu),
-        process=ProcessConfig(tau=tau))
+# the worked example's bath peaks, width scale and cutoff
+_EXAMPLE = heat_engine_preset()
+OMEGA01, OMEGA02 = _EXAMPLE.bath1.omega0, _EXAMPLE.bath2.omega0
+KAPPA, CUTOFF = _EXAMPLE.bath1.kappa, _EXAMPLE.bath1.cutoff
 
 
 @dataclass
@@ -74,9 +64,8 @@ def criterion_1(shared: _Shared) -> CriterionResult:
     bundle = build_bundle(cfg)
     c_direct = bundle.solve_ness()
     c = np.zeros_like(c_direct)
-    g, p = bundle.cycle.g_s, bundle.p_s
     for _ in range(100000):
-        c_next = g.conj().T @ c @ g + p
+        c_next = preb_step(c, bundle.cycle, bundle.p_s)
         if np.max(np.abs(c_next - c)) < 1e-12:
             c = c_next
             break
@@ -296,13 +285,11 @@ CRITERIA: dict[str, Callable[[_Shared], CriterionResult]] = {
 QUICK_SET = ("C01", "C03", "C06", "C08", "C09")
 
 
-def run_validation(level: str = "quick",
-                   only: Optional[list[str]] = None) -> list[CriterionResult]:
-    """Run the selected criteria; 'quick' is the sub-minute subset, 'full' everything."""
+def run_validation(level: str) -> list[CriterionResult]:
+    """Run the criteria of a level: 'quick' is the sub-minute subset, 'full' everything."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
-    ids = only if only is not None else (list(QUICK_SET) if level == "quick"
-                                         else list(CRITERIA))
+    ids = QUICK_SET if level == "quick" else CRITERIA
     shared = _Shared()
     results = []
     for cid in ids:

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 from pathlib import Path
 
@@ -222,6 +223,15 @@ class TestChainCoefficients:
         eps_s, hop_s = cc.padded(5)
         assert_allclose(eps_s, cc.eps[:5])
         assert_allclose(hop_s, cc.hop[:5])
+
+    def test_replace_recomputes_the_asymptotics(self):
+        """The tail averages follow the arrays: a replaced chain pads with its own tail."""
+        cc = ChainCoefficients(eps=np.zeros(6), hop=np.ones(6))
+        wider = dataclasses.replace(cc, hop=np.full(6, 3.0))
+        assert wider.hop_asym == 3.0
+        assert_allclose(wider.padded(8)[1][6:], 3.0)
+        with pytest.raises(TypeError):
+            ChainCoefficients(eps=np.zeros(6), hop=np.ones(6), eps_asym=1.0)
 
     @pytest.mark.parametrize("length", [0, -1])
     def test_padding_rejects_an_empty_chain(self, length):

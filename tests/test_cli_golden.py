@@ -57,14 +57,32 @@ def test_cli_output_matches_golden(argv, golden, capsys):
     _assert_matches_golden(capsys.readouterr().out, golden)
 
 
+def _axis_sweep(tmp_path, axis, lo, hi, points, spacing):
+    """``preb sweep`` output of the heat-engine config along one axis."""
+    path = tmp_path / f"sweep_{axis}.ini"
+    path.write_text((ROOT / "configs" / "heat_engine.ini").read_text()
+                    + f"\n[sweep]\naxis = {axis}\nmin = {lo}\nmax = {hi}\n"
+                      f"points = {points}\nspacing = {spacing}\n")
+    return path
+
+
 def test_mu_sweep_matches_golden(tmp_path, capsys):
     """A mu axis: every point after the first reuses the first point's set-up."""
-    path = tmp_path / "sweep_mu.ini"
-    path.write_text((ROOT / "configs" / "heat_engine.ini").read_text()
-                    + "\n[sweep]\naxis = mu\nmin = -3.0\nmax = 1.0\npoints = 9\n"
-                      "spacing = linear\n")
+    path = _axis_sweep(tmp_path, "mu", -3.0, 1.0, 9, "linear")
     assert cli.main(["sweep", str(path)]) == 0
     _assert_matches_golden(capsys.readouterr().out, "sweep_mu_heat_engine.csv")
+
+
+@pytest.mark.parametrize("axis, lo, hi, points, spacing", [
+    # new chains at every point, each padded with its own tail
+    ("lambda", 0.01, 1.0, 7, "log"),
+    # one set-up; only the hot bath's Fermi factors change
+    ("beta1", 0.05, 0.9, 7, "linear"),
+], ids=["lambda", "beta1"])
+def test_axis_sweep_matches_golden(axis, lo, hi, points, spacing, tmp_path, capsys):
+    path = _axis_sweep(tmp_path, axis, lo, hi, points, spacing)
+    assert cli.main(["sweep", str(path)]) == 0
+    _assert_matches_golden(capsys.readouterr().out, f"sweep_{axis}_heat_engine.csv")
 
 
 def test_trajectory_matches_golden(capsys):

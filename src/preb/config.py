@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
-from .spectral import SpectralFunction, read_spectral_table
+from .spectral import FLAT, LORENTZIAN, TABULATED, SpectralFunction, read_spectral_table
 
 @dataclass(frozen=True)
 class BathConfig:
-    kind: str = "lorentzian"
+    kind: str = LORENTZIAN
     kappa: float = 2.0
     lam: float = 0.05
     omega0: float = 2.0
@@ -29,11 +29,11 @@ class BathConfig:
     table: Optional[str] = None  # CSV path for the tabulated kind
 
     def spectral_function(self) -> SpectralFunction:
-        if self.kind == "lorentzian":
+        if self.kind == LORENTZIAN:
             return SpectralFunction.lorentzian(self.kappa, self.lam, self.omega0, self.cutoff)
-        if self.kind == "flat":
+        if self.kind == FLAT:
             return SpectralFunction.flat(self.kappa, self.cutoff)
-        if self.kind == "tabulated":
+        if self.kind == TABULATED:
             if not self.table:
                 raise ConfigError("tabulated bath needs a 'table' CSV path")
             try:
@@ -71,6 +71,11 @@ class RunConfig:
 
     def replace(self, **kwargs) -> "RunConfig":
         return dataclasses.replace(self, **kwargs)
+
+    @property
+    def lorentzian_baths(self) -> bool:
+        """Both baths are Lorentzian, so the run has a bath width lambda."""
+        return self.bath1.kind == self.bath2.kind == LORENTZIAN
 
 
 def fixed_config(beta1: float, beta2: float, mu: float, lam: float,

@@ -37,7 +37,7 @@ from .dynamics import preb_trajectory, step_thermodynamics
 from .errors import ConfigError, NoUniqueNessError
 from .negf import NegfReport, landauer_currents
 from .propagator import CycleMap, cycle_map, drive_matrix, solve_dlyap_direct
-from .spectral import BathThermalSpec, SpectralFunction, fermi_occupation
+from .spectral import LORENTZIAN, BathThermalSpec, SpectralFunction, fermi_occupation
 from .thermo import NessReport, classify_regime, ness_rates
 
 MAP_DEPTH = 128     # D: the depth every bath is mapped to, then cut or padded
@@ -109,9 +109,9 @@ class NessBundle:
         cfg = self.cfg
         report.r = self.cycle.rate
         report.spectral_radius = self.cycle.spectral_radius
-        if cfg.bath1.kind == "lorentzian":
+        if cfg.bath1.kind == LORENTZIAN:
             report.lam = cfg.bath1.lam
-        if cfg.bath1.kind == "lorentzian" and cfg.bath2.kind == "lorentzian":
+        if cfg.lorentzian_baths:
             tau_r = rethermalization_estimate(min(cfg.bath1.lam, cfg.bath2.lam),
                                               cfg.process.tau_r_factor)
             ratio = tau_r / cfg.process.tau

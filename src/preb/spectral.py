@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import expit
 
 LORENTZIAN = "lorentzian"
@@ -233,15 +232,16 @@ def frequency_grid(sf: SpectralFunction, points: int = DEFAULT_GRID_POINTS) -> n
 
 
 @functools.lru_cache(maxsize=8)
-def _hat_kernel(n: int) -> np.ndarray:
+def _hat_kernel_spectrum(n: int, size: int) -> np.ndarray:
     # principal-value transform of the unit hat function, sampled at integer lags
+    # -(n - 1) .. n - 1, as its real FFT of length ``size``
     m = np.arange(-(n - 1), n, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (1 + m) * np.log(np.abs(1 + m))
         t2 = (1 - m) * np.log(np.abs(1 - m))
         t3 = 2 * m * np.log(np.abs(m))
     out = np.nan_to_num(t1, nan=0.0) - np.nan_to_num(t2, nan=0.0) - np.nan_to_num(t3, nan=0.0)
-    return out
+    return np.fft.rfft(out, size)
 
 
 def hilbert_transform(omega: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -260,7 +260,9 @@ def hilbert_transform(omega: np.ndarray, values: np.ndarray) -> np.ndarray:
     if np.any(dw <= 0) or np.max(np.abs(dw - dw[0])) > 1e-9 * abs(dw[0]):
         raise ValueError("hilbert_transform requires a uniform grid")
     n = values.size
-    conv = fftconvolve(values, _hat_kernel(n), mode="full")
+    # circular convolution of length >= 2n - 1: the wrap-around misses the n outputs kept
+    size = 1 << (2 * n - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(values, size) * _hat_kernel_spectrum(n, size), size)
     return conv[n - 1:2 * n - 1] / np.pi
 
 

@@ -39,7 +39,7 @@ def apply_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     if axis == "tau":
         return cfg.replace(process=dataclasses.replace(cfg.process, tau=float(value)))
     if axis == "lambda":
-        if not cfg.bath1.kind == cfg.bath2.kind == "lorentzian":
+        if not cfg.lorentzian_baths:
             raise ConfigError(f"sweep.axis = lambda needs two Lorentzian baths, got "
                               f"{cfg.bath1.kind} and {cfg.bath2.kind}")
         return cfg.replace(bath1=dataclasses.replace(cfg.bath1, lam=float(value)),

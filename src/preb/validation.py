@@ -102,16 +102,16 @@ def criterion_2(shared: _Shared) -> CriterionResult:
 
 def criterion_3(shared: _Shared) -> CriterionResult:
     """Narrow-bath limit reproduces the single-site predictions."""
-    rep_e = run_ness(heat_engine_preset(lam=1e-3))
-    rep_f = run_ness(refrigerator_preset(lam=1e-3))
-    pred_e = collisional_limit(OMEGA01, OMEGA02, -2.0, 0.1, 1.0)
-    pred_f = collisional_limit(OMEGA01, OMEGA02, -2.0, 0.7, 1.0)
+    points = (heat_engine_preset(lam=1e-3), refrigerator_preset(lam=1e-3))
+    rep_e, rep_f = reports = [run_ness(cfg) for cfg in points]
+    pred_e, pred_f = (collisional_limit(OMEGA01, OMEGA02, cfg.bath1.mu, cfg.bath1.beta,
+                                        cfg.bath2.beta) for cfg in points)
     eta_err = abs(rep_e.eta - pred_e.eta0) / pred_e.eta0 if rep_e.eta else np.inf
     cop_err = abs(rep_f.cop - pred_f.cop0) / pred_f.cop0 if rep_f.cop else np.inf
     # tight-coupling defects, relative to the heat rates
     tc = 0.0
-    for rep in (rep_e, rep_f):
-        defects = tight_coupling_check(rep, (OMEGA01, OMEGA02), -2.0)
+    for cfg, rep in zip(points, reports):
+        defects = tight_coupling_check(rep, (OMEGA01, OMEGA02), cfg.bath1.mu)
         tc = max(tc, *(d / abs(q) for d, q in zip(defects, rep.qdot)))
     ok = eta_err < 0.05 and cop_err < 0.05 and tc < 0.02
     measured = (f"eta {rep_e.eta:.4f} vs {pred_e.eta0} ({eta_err:.2%}), "

@@ -6,9 +6,8 @@ thermodynamics (power, heat currents, entropy production, machine regimes)
 follows without time evolution.
 """
 
-from .builder import (SetupHamiltonian, SystemSpec, assemble_hamiltonian,
-                      chain_length_for_tau, copies_required,
-                      rethermalization_estimate, thermal_correlation)
+from .builder import (SetupHamiltonian, assemble_hamiltonian, chain_length_for_tau,
+                      copies_required, rethermalization_estimate, thermal_correlation)
 from .chainmap import (ChainCoefficients, chain_map_recursion, chain_map_tridiag,
                        discretize_modes, star_to_chain)
 from .config import (BathConfig, ProcessConfig, RunConfig, SweepConfig,

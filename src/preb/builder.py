@@ -1,7 +1,7 @@
-"""Assemble the finite set-up: system plus two mapped chains as one block Hamiltonian.
+"""Assemble the finite set-up: the two-site system plus two mapped chains as one block Hamiltonian.
 
 Everything is expressed at the single-particle level: the set-up Hamiltonian is
-a real-symmetric (L_S + 2 L_B) x (L_S + 2 L_B) matrix in block form
+a real-symmetric (2 + 2 L_B) x (2 + 2 L_B) matrix in block form
 (system | chain 1 | chain 2) with no direct chain-chain coupling.  Units are
 hbar = k_B = 1 with the system hopping g setting the energy scale.
 """
@@ -28,46 +28,17 @@ def _snap(x: float) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class SystemSpec:
-    """Single-particle system Hamiltonian plus the site each bath couples to."""
-
-    h_s: np.ndarray
-    coupling_sites: tuple[int, int]
-
-    def __post_init__(self):
-        h = np.asarray(self.h_s, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError("h_s must be square")
-        if np.max(np.abs(h - h.T)) > SYMMETRY_TOL:
-            raise ValueError("h_s must be symmetric")
-        for site in self.coupling_sites:
-            if not (0 <= site < h.shape[0]):
-                raise ValueError(f"coupling site {site} out of range")
-        object.__setattr__(self, "h_s", h)
-        object.__setattr__(self, "coupling_sites", tuple(int(s) for s in self.coupling_sites))
-
-    @property
-    def n_sites(self) -> int:
-        return self.h_s.shape[0]
-
-    @classmethod
-    def two_site(cls, g: float = 1.0) -> "SystemSpec":
-        """Two fermionic sites with hopping g, one bath on each site."""
-        return cls(h_s=np.array([[0.0, g], [g, 0.0]]), coupling_sites=(0, 1))
-
-
 @dataclass(frozen=True, eq=False)
 class SetupHamiltonian:
     """Block single-particle matrix (system | chain 1 | chain 2) with its index map.
 
-    Built from the system and each chain's ``(eps, hop)`` pair of length
-    ``l_b`` (``hop[0]`` couples the chain's head to its system site), it
+    Built from the dimer hopping ``g`` and each chain's ``(eps, hop)`` pair of
+    length ``l_b`` (``hop[0]`` couples chain l's head to system site l), it
     assembles ``h`` once.  Its structure holds by construction: tridiagonal
     chain blocks, one link per chain at its head, no chain-chain block.
     """
 
-    system_spec: SystemSpec
+    g: float
     chains: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     h: np.ndarray = field(init=False, repr=False)
 
@@ -80,12 +51,10 @@ class SetupHamiltonian:
         if l_b < 1 or any(a.shape != (l_b,) for chain in chains for a in chain):
             raise ValueError("each chain needs 1-d eps and hop arrays of one common length >= 1")
         object.__setattr__(self, "chains", chains)
-        l_s = self.system_spec.n_sites
-        h = np.zeros((l_s + 2 * l_b, l_s + 2 * l_b))
-        h[:l_s, :l_s] = self.system_spec.h_s
+        h = np.zeros((2 + 2 * l_b, 2 + 2 * l_b))
+        h[0, 1] = h[1, 0] = self.g
         idx = np.arange(l_b)
-        for (eps, hop), site, b in zip(chains, self.system_spec.coupling_sites,
-                                       (self.bath1, self.bath2)):
+        for site, ((eps, hop), b) in enumerate(zip(chains, (self.bath1, self.bath2))):
             off = b.start
             h[site, off] = h[off, site] = hop[0]
             h[off + idx, off + idx] = eps
@@ -94,28 +63,24 @@ class SetupHamiltonian:
         object.__setattr__(self, "h", h)
 
     @property
-    def l_s(self) -> int:
-        return self.system_spec.n_sites
-
-    @property
     def l_b(self) -> int:
         return self.chains[0][0].size
 
     @property
     def n_sites(self) -> int:
-        return self.l_s + 2 * self.l_b
+        return 2 + 2 * self.l_b
 
     @property
     def system(self) -> slice:
-        return slice(0, self.l_s)
+        return slice(0, 2)
 
     @property
     def bath1(self) -> slice:
-        return slice(self.l_s, self.l_s + self.l_b)
+        return slice(2, 2 + self.l_b)
 
     @property
     def bath2(self) -> slice:
-        return slice(self.l_s + self.l_b, self.n_sites)
+        return slice(2 + self.l_b, self.n_sites)
 
     @functools.cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -135,14 +100,13 @@ def chain_length_for_tau(g_b: float, tau: float, l_0: int) -> int:
     return int(math.ceil(_snap(g_b * tau))) + int(l_0)
 
 
-def assemble_hamiltonian(system: SystemSpec,
-                         chains: Sequence[ChainCoefficients],
+def assemble_hamiltonian(g: float, chains: Sequence[ChainCoefficients],
                          l_b: int) -> SetupHamiltonian:
-    """The set-up of the system and two chains, each cut or padded to length ``l_b``.
+    """The set-up of the dimer with hopping ``g`` and two chains, each cut or padded to ``l_b``.
 
     Chains shorter than ``l_b`` are padded with their asymptotic coefficients.
     """
-    return SetupHamiltonian(system, tuple(chain.padded(l_b) for chain in chains))
+    return SetupHamiltonian(g, tuple(chain.padded(l_b) for chain in chains))
 
 
 def thermal_correlation(h_b: np.ndarray, spec: BathThermalSpec) -> np.ndarray:

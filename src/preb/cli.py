@@ -19,11 +19,10 @@ import csv
 import dataclasses
 import sys
 
-from .builder import SystemSpec
 from .config import RunConfig, parse_config, validate_process
 from .errors import ConfigError, NoUniqueNessError, PrebError
-from .negf import transmission_table
-from .pipeline import run_chainmap, run_negf, run_ness, run_trajectory
+from .negf import landauer_currents, transmission_table
+from .pipeline import bath_pairs, run_chainmap, run_ness, run_trajectory
 from .sweeps import run_sweep
 from .validation import run_validation
 
@@ -171,17 +170,16 @@ def _cmd_chainmap(args) -> int:
 
 def _cmd_negf(args) -> int:
     cfg = _load_config(args)
-    report = run_negf(cfg)
+    leads, specs = bath_pairs(cfg)
+    report = landauer_currents(cfg.g, leads, specs)
     with _out_stream(args.out) as fh:
         _write_table(fh, ["I", "J", "Q1", "Q2", "P_chem", "sigma"]
                      + [f"n{i + 1}" for i in range(report.occupations.size)],
                      [[report.current, report.energy_current, *report.qdot, report.p_chem,
                        report.sigma, *report.occupations]])
     if args.transmission:
-        leads = (cfg.bath1.spectral_function(), cfg.bath2.spectral_function())
         with _out_stream(args.transmission) as fh:
-            _write_table(fh, ["omega", "T"],
-                         zip(*transmission_table(SystemSpec.two_site(cfg.g), leads)))
+            _write_table(fh, ["omega", "T"], zip(*transmission_table(cfg.g, leads)))
     return EXIT_OK
 
 

@@ -2,10 +2,10 @@
 
 An independent route to the large-cycle-time limit: build the retarded lead
 self-energies from the spectral functions, form the transmission through the
-system, and integrate against the Fermi-window difference.  The system has
-two sites, so its resolvent is the closed-form 2 x 2 inverse.  The integrals
-use adaptive Gauss-Kronrod panels that are cut at the kinks of Sigma and
-around every peak, so each panel's integrand is smooth.
+system, and integrate against the Fermi-window difference.  The system is a
+dimer with lead l on site l, so its resolvent is the closed-form 2 x 2 inverse.
+The integrals use adaptive Gauss-Kronrod panels that are cut at the kinks of
+Sigma and around every peak, so each panel's integrand is smooth.
 
 Normalization: the chain-mapping route carries total squared coupling
 (1/2pi) int J, so the consistent retarded self-energy is
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import SystemSpec
+from .errors import NumericsError
 from .spectral import (LORENTZIAN, TABULATED, BathThermalSpec, SpectralFunction,
                        fermi_occupation, frequency_grid, hilbert_transform)
 
@@ -80,44 +80,33 @@ class LeadSelfEnergy:
         return 0.5 * (jh - 1j * j)
 
 
-def _dressed(system: SystemSpec, sigma1, sigma2, w: np.ndarray):
-    """Diagonal of A = w - h_S - Sigma at each frequency of ``w``, and det A.
-
-    The self-energies sit on the coupling sites; the closed form needs two sites.
-    """
-    if system.n_sites != 2:
-        raise ValueError(f"the NEGF reference needs a two-site system, got {system.n_sites} sites")
-    h = system.h_s
-    i1, i2 = system.coupling_sites
-    diag = [w - h[0, 0], w - h[1, 1]]
-    diag[i1] = diag[i1] - sigma1
-    diag[i2] = diag[i2] - sigma2
-    return diag, diag[0] * diag[1] - h[0, 1] * h[1, 0]
+def _dressed(g: float, sigma1, sigma2, w: np.ndarray):
+    """Diagonal of A = w - h_S - Sigma at each frequency of ``w``, and det A."""
+    diag = [w - sigma1, w - sigma2]
+    return diag, diag[0] * diag[1] - g * g
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real ** 2 + z.imag ** 2
 
 
-def _resolvent_abs2(system: SystemSpec, sigma1: np.ndarray, sigma2: np.ndarray,
+def _resolvent_abs2(g: float, sigma1: np.ndarray, sigma2: np.ndarray,
                     w: np.ndarray) -> np.ndarray:
     """|G^r_ij(w)|^2 of the dressed system resolvent G^r = adj A / det A at each frequency."""
-    diag, det = _dressed(system, sigma1, sigma2, w)
+    diag, det = _dressed(g, sigma1, sigma2, w)
     singular = det == 0
     if singular.any():
         warnings.warn("singular resolvent on the real axis; nudging into the lower half plane")
-        diag, det = _dressed(system, sigma1 - 1e-12j * singular, sigma2 - 1e-12j * singular, w)
+        diag, det = _dressed(g, sigma1 - 1e-12j * singular, sigma2 - 1e-12j * singular, w)
     inv = 1 / _abs2(det)
-    h = system.h_s
-    return np.stack([_abs2(diag[1]) * inv, h[0, 1] ** 2 * inv,
-                     h[1, 0] ** 2 * inv, _abs2(diag[0]) * inv], axis=-1).reshape(-1, 2, 2)
+    off = g * g * inv
+    return np.stack([_abs2(diag[1]) * inv, off, off, _abs2(diag[0]) * inv],
+                    axis=-1).reshape(-1, 2, 2)
 
 
-def _transmission(system: SystemSpec, sigma1: np.ndarray, sigma2: np.ndarray,
-                  g2: np.ndarray) -> np.ndarray:
-    """T(w) = Gamma_1 Gamma_2 |G^r_{i1 i2}|^2, with Gamma = -2 Im Sigma = J and g2 = |G^r|^2."""
-    i1, i2 = system.coupling_sites
-    return 4 * sigma1.imag * sigma2.imag * g2[:, i1, i2]
+def _transmission(sigma1: np.ndarray, sigma2: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """T(w) = Gamma_1 Gamma_2 |G^r_12|^2, with Gamma = -2 Im Sigma = J and g2 = |G^r|^2."""
+    return 4 * sigma1.imag * sigma2.imag * g2[:, 0, 1]
 
 
 @dataclass(frozen=True)
@@ -150,6 +139,9 @@ def _panel_quad(f, breakpoints: np.ndarray, kinks: np.ndarray) -> np.ndarray:
         y = f((mid[:, None] + half[:, None] * _NODES).ravel())
         y = y.reshape(len(y), a.size, _NODES.size)
         error = np.max(np.abs(y @ _GAUSS_GAP), axis=0) * half
+        if not np.isfinite(error).all():
+            raise NumericsError(f"the integrand overflows in [{breakpoints[0]:g}, "
+                                f"{breakpoints[-1]:g}]; the inputs are too large")
         done = error <= share * (b - a)
         if rounds == MAX_ROUNDS or 2 * np.count_nonzero(~done) > MAX_INTERVALS:
             if not done.all():
@@ -173,7 +165,7 @@ def _peak_edges(centers, half_widths) -> np.ndarray:
     return (np.asarray(centers)[:, None] + np.outer(half_widths, steps)).ravel()
 
 
-def _resonances(system: SystemSpec, sigmas: tuple[LeadSelfEnergy, LeadSelfEnergy],
+def _resonances(g: float, sigmas: tuple[LeadSelfEnergy, LeadSelfEnergy],
                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Resonances of the dressed system and their half-widths.
 
@@ -181,13 +173,13 @@ def _resonances(system: SystemSpec, sigmas: tuple[LeadSelfEnergy, LeadSelfEnergy
     nodes of ``w``, placed by linear interpolation; its half-width is
     -Im(Sigma_1 + Sigma_2) there.
     """
-    _, det = _dressed(system, sigmas[0](w).real, sigmas[1](w).real, w)
+    _, det = _dressed(g, sigmas[0](w).real, sigmas[1](w).real, w)
     k = np.flatnonzero((det[:-1] > 0) != (det[1:] > 0))
     roots = w[k] - det[k] * (w[k + 1] - w[k]) / (det[k + 1] - det[k])
     return roots, -(sigmas[0](roots) + sigmas[1](roots)).imag
 
 
-def _breakpoints(system: SystemSpec, leads, specs, sigmas, kinks: np.ndarray) -> np.ndarray:
+def _breakpoints(g: float, leads, specs, sigmas, kinks: np.ndarray) -> np.ndarray:
     """Panel edges over the union of the lead supports.
 
     They are the support edges, the chemical potentials and a ladder around
@@ -195,7 +187,7 @@ def _breakpoints(system: SystemSpec, leads, specs, sigmas, kinks: np.ndarray) ->
     system.
     """
     lorentzians = [sf for sf in leads if sf.kind == LORENTZIAN]
-    roots, widths = _resonances(system, sigmas, kinks)
+    roots, widths = _resonances(g, sigmas, kinks)
     edges = [edge for sf in leads for edge in sf.support]
     pts = np.concatenate([
         _peak_edges([sf.omega0 for sf in lorentzians], [sf.lam for sf in lorentzians]),
@@ -203,40 +195,44 @@ def _breakpoints(system: SystemSpec, leads, specs, sigmas, kinks: np.ndarray) ->
     return np.unique(pts[(min(edges) <= pts) & (pts <= max(edges))])
 
 
-def landauer_currents(system: SystemSpec, leads: tuple[SpectralFunction, SpectralFunction],
+def landauer_currents(g: float, leads: tuple[SpectralFunction, SpectralFunction],
                       specs: tuple[BathThermalSpec, BathThermalSpec]) -> NegfReport:
     """Particle and energy currents plus steady occupations of the autonomous process.
 
     The currents are (1/2pi) integrals of the transmission T and w T against
     f_1 - f_2; T vanishes outside the overlap of the lead supports.  One
     quadrature over the union of the supports gives currents and occupations.
+    An input so large that a value overflows raises ``NumericsError``.
     """
-    i1, i2 = system.coupling_sites
     sigmas = (LeadSelfEnergy(leads[0]), LeadSelfEnergy(leads[1]))
     kinks = np.union1d(sigmas[0].kinks, sigmas[1].kinks)
 
     def integrand(w: np.ndarray) -> np.ndarray:
         s1, s2 = sigmas[0](w), sigmas[1](w)
-        g2 = _resolvent_abs2(system, s1, s2, w)
+        g2 = _resolvent_abs2(g, s1, s2, w)
         f1, f2 = fermi_occupation(specs[0], w), fermi_occupation(specs[1], w)
-        base = _transmission(system, s1, s2, g2) * (f1 - f2)
-        occ = g2[:, :, i1].T * (-2 * s1.imag * f1) + g2[:, :, i2].T * (-2 * s2.imag * f2)
+        base = _transmission(s1, s2, g2) * (f1 - f2)
+        occ = g2[:, :, 0].T * (-2 * s1.imag * f1) + g2[:, :, 1].T * (-2 * s2.imag * f2)
         return np.vstack([base, w * base, occ]) / (2 * np.pi)
 
-    particle, energy, *occupations = _panel_quad(
-        integrand, _breakpoints(system, leads, specs, sigmas, kinks), kinks)
+    with np.errstate(all="ignore"):  # an overflow is raised below, not printed
+        particle, energy, *occupations = _panel_quad(
+            integrand, _breakpoints(g, leads, specs, sigmas, kinks), kinks)
+        mu1, mu2 = specs[0].mu, specs[1].mu
+        qdot1 = -(energy - mu1 * particle)
+        qdot2 = energy - mu2 * particle
+        sigma = specs[0].beta * qdot1 + specs[1].beta * qdot2
+    report = NegfReport(current=float(particle), energy_current=float(energy),
+                        qdot=(float(qdot1), float(qdot2)),
+                        p_chem=(mu1 - mu2) * float(particle), sigma=float(sigma),
+                        occupations=np.array(occupations))
+    if not np.isfinite([*report.qdot, report.p_chem, report.sigma]).all():
+        raise NumericsError(f"the NEGF report overflows: Qdot = {report.qdot}, "
+                            f"P_chem = {report.p_chem:g}, sigma = {report.sigma:g}")
+    return report
 
-    mu1, mu2 = specs[0].mu, specs[1].mu
-    qdot1 = -(energy - mu1 * particle)
-    qdot2 = energy - mu2 * particle
-    sigma = specs[0].beta * qdot1 + specs[1].beta * qdot2
-    return NegfReport(current=float(particle), energy_current=float(energy),
-                      qdot=(float(qdot1), float(qdot2)),
-                      p_chem=(mu1 - mu2) * float(particle), sigma=float(sigma),
-                      occupations=np.array(occupations))
 
-
-def transmission_table(system: SystemSpec, leads: tuple[SpectralFunction, SpectralFunction]
+def transmission_table(g: float, leads: tuple[SpectralFunction, SpectralFunction]
                        ) -> tuple[np.ndarray, np.ndarray]:
     """T(w) sampled over the overlap of the lead supports."""
     sigmas = (LeadSelfEnergy(leads[0]), LeadSelfEnergy(leads[1]))
@@ -244,4 +240,4 @@ def transmission_table(system: SystemSpec, leads: tuple[SpectralFunction, Spectr
     hi = min(leads[0].support[1], leads[1].support[1])
     w = np.linspace(lo, hi, TRANSMISSION_POINTS)
     s1, s2 = sigmas[0](w), sigmas[1](w)
-    return w, _transmission(system, s1, s2, _resolvent_abs2(system, s1, s2, w))
+    return w, _transmission(s1, s2, _resolvent_abs2(g, s1, s2, w))

@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .builder import (SystemSpec, assemble_hamiltonian, chain_length_for_tau,
-                      copies_required, rethermalization_estimate)
+from .builder import (assemble_hamiltonian, chain_length_for_tau, copies_required,
+                      rethermalization_estimate)
 from .chainmap import MIN_MODES_PER_SITE, ChainCoefficients, chain_map_tridiag
 from .config import RunConfig
 from .dynamics import preb_trajectory, step_thermodynamics
@@ -130,8 +130,7 @@ def chain_depth(cfg: RunConfig) -> int:
     cycle of length tau reaches; g_B comes from the cached bath maps.
     """
     process = cfg.process
-    g_b = max(_bath_map(bath.spectral_function(), process.n_modes)[1]
-              for bath in (cfg.bath1, cfg.bath2))
+    g_b = max(_bath_map(sf, process.n_modes)[1] for sf in bath_pairs(cfg)[0])
     if process.depth is None:
         return chain_length_for_tau(g_b, process.tau, process.l_0)
     light_cone = chain_length_for_tau(g_b, process.tau, 0)
@@ -146,17 +145,22 @@ def _set_up(sfs: tuple[SpectralFunction, SpectralFunction], n_modes: Optional[in
             l_b: int, g: float, tau: float) -> tuple[tuple[ChainCoefficients, ...], CycleMap]:
     """The part of a point that neither temperatures nor chemical potentials change."""
     chains = tuple(_chain_for(sf, l_b, n_modes) for sf in sfs)
-    setup = assemble_hamiltonian(SystemSpec.two_site(g), chains, l_b)
+    setup = assemble_hamiltonian(g, chains, l_b)
     return chains, cycle_map(setup, tau)
+
+
+def bath_pairs(cfg: RunConfig) -> tuple[tuple[SpectralFunction, ...], tuple[BathThermalSpec, ...]]:
+    """Both baths' spectral functions, and both thermal specs; bath 1 first in each pair."""
+    b1, b2 = cfg.bath1, cfg.bath2
+    return ((b1.spectral_function(), b2.spectral_function()),
+            (BathThermalSpec(b1.beta, b1.mu), BathThermalSpec(b2.beta, b2.mu)))
 
 
 def build_bundle(cfg: RunConfig) -> NessBundle:
     """Every intermediate of one point; the set-up part comes from the set-up cache."""
-    sfs = (cfg.bath1.spectral_function(), cfg.bath2.spectral_function())
+    sfs, specs = bath_pairs(cfg)
     chains, cycle = _set_up(sfs, cfg.process.n_modes, chain_depth(cfg), cfg.g,
                             cfg.process.tau)
-    specs = (BathThermalSpec(cfg.bath1.beta, cfg.bath1.mu),
-             BathThermalSpec(cfg.bath2.beta, cfg.bath2.mu))
     occupations = tuple(fermi_occupation(spec, energies)
                         for spec, energies in zip(specs, cycle.energies))
     p_s = drive_matrix(cycle, *occupations)
@@ -192,17 +196,12 @@ def run_trajectory(cfg: RunConfig, steps: int):
 def run_chainmap(cfg: RunConfig) -> tuple[ChainCoefficients, ChainCoefficients]:
     """Each bath's chain as the set-up uses it: ``l_b`` sites, cut or padded."""
     l_b = chain_depth(cfg)
-    return tuple(ChainCoefficients(*_chain_for(bath.spectral_function(), l_b,
-                                               cfg.process.n_modes).padded(l_b))
-                 for bath in (cfg.bath1, cfg.bath2))
+    return tuple(ChainCoefficients(*_chain_for(sf, l_b, cfg.process.n_modes).padded(l_b))
+                 for sf in bath_pairs(cfg)[0])
 
 
 def run_negf(cfg: RunConfig) -> NegfReport:
-    system = SystemSpec.two_site(cfg.g)
-    sfs = (cfg.bath1.spectral_function(), cfg.bath2.spectral_function())
-    specs = (BathThermalSpec(cfg.bath1.beta, cfg.bath1.mu),
-             BathThermalSpec(cfg.bath2.beta, cfg.bath2.mu))
-    return landauer_currents(system, sfs, specs)
+    return landauer_currents(cfg.g, *bath_pairs(cfg))
 
 
 def chain_size_convergence(cfg: RunConfig) -> float:

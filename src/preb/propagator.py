@@ -40,7 +40,8 @@ CYCLE_COLUMNS = ("dn1", "dn2", "dh_b1", "dh_b2", "dh_sb1", "dh_sb2")
 class CycleMap:
     """Everything one cycle of a set-up does, as linear maps of C_S and of the Fermi factors.
 
-    With V_l the eigenbasis of chain l and Y_l = V_l^T U[B_l, :], a cycle takes
+    S is the two-site system, and chain l is linked to its site l.  With V_l
+    the eigenbasis of chain l and Y_l = V_l^T U[B_l, :], a cycle takes
     the initial state diag(C_S, V_1 f_1 V_1^T, V_2 f_2 V_2^T) to
 
         ct = U[S, :]^dag C_S U[S, :] + sum_l Y_l^dag diag(f_l) Y_l.
@@ -53,7 +54,7 @@ class CycleMap:
     - ``bath[l]``, real (l_b, 6): entry x of ``f_l @ bath[l]`` is what chain l
       contributes to the change of ``CYCLE_COLUMNS[x]``; chain l's own values
       before the cycle (its particle number and energy) are already subtracted;
-    - ``system``, complex (L_S^2, 6): the system's contribution is
+    - ``system``, complex (4, 6): the system's contribution is
       Re(C_S.ravel() @ system) for a Hermitian C_S;
     - ``unitarity_defect`` of U, and the ``spectral_radius`` of G_S with the
       approach ``rate`` from ``stability_rate``.
@@ -112,13 +113,13 @@ def cycle_map(setup: SetupHamiltonian, tau: float) -> CycleMap:
 
 def _cycle_operators(setup: SetupHamiltonian, u: np.ndarray):
     """(drive, bath, system) of ``CycleMap``, each a copy that holds no part of U."""
-    l_s, l_b = setup.l_s, setup.l_b
+    l_s, l_b = 2, setup.l_b
     (eps1, hop1), (eps2, hop2) = setup.chains
     # Each quantity x of CYCLE_COLUMNS reads the evolved state as
     # sum w_x Re ct[i, j] over site pairs (i, j): every chain site with itself
-    # (its particle number and on-site energy), every bond of a chain, and each
-    # system-chain link; a pair of distinct sites has weight 2 h_ij.
-    links, heads = list(setup.system_spec.coupling_sites), [setup.bath1.start, setup.bath2.start]
+    # (its particle number and on-site energy), every bond of a chain, and the
+    # link of chain l's head to system site l; distinct sites weigh 2 h_ij.
+    links, heads = [0, 1], [setup.bath1.start, setup.bath2.start]
     w_site = np.zeros((2 * l_b, len(CYCLE_COLUMNS)))
     w_site[:l_b, 0] = w_site[l_b:, 1] = 1.0
     w_site[:l_b, 2], w_site[l_b:, 3] = eps1, eps2

@@ -57,6 +57,8 @@ class SpectralTable:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "_hash", hash((self.omega.tobytes(), self.values.tobytes())))
+        if not np.isfinite([cum[-1] for cum in _table_cumulatives(self)]).all():
+            raise ValueError("the integral of J or of omega J over the table overflows")
 
     def __hash__(self) -> int:
         return self._hash
@@ -187,13 +189,14 @@ def _table_cumulatives(table: SpectralTable):
     """Node-wise cumulative integrals of J and w*J for a piecewise-linear table."""
     x, y = table.omega, table.values
     h = np.diff(x)
-    cell_j = 0.5 * h * (y[:-1] + y[1:])
-    # exact first moment of a linear segment
-    slope = np.diff(y) / h
-    y0 = y[:-1] - slope * x[:-1]
-    cell_m = y0 * (x[1:] ** 2 - x[:-1] ** 2) / 2 + slope * (x[1:] ** 3 - x[:-1] ** 3) / 3
-    cum_j = np.concatenate([[0.0], np.cumsum(cell_j)])
-    cum_m = np.concatenate([[0.0], np.cumsum(cell_m)])
+    with np.errstate(over="ignore", invalid="ignore"):  # SpectralTable rejects an overflow
+        cell_j = 0.5 * h * (y[:-1] + y[1:])
+        # exact first moment of a linear segment
+        slope = np.diff(y) / h
+        y0 = y[:-1] - slope * x[:-1]
+        cell_m = y0 * (x[1:] ** 2 - x[:-1] ** 2) / 2 + slope * (x[1:] ** 3 - x[:-1] ** 3) / 3
+        cum_j = np.concatenate([[0.0], np.cumsum(cell_j)])
+        cum_m = np.concatenate([[0.0], np.cumsum(cell_m)])
     return cum_j, cum_m
 
 

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from preb.builder import SystemSpec, assemble_hamiltonian
+from preb.builder import assemble_hamiltonian
 from preb.chainmap import ChainCoefficients
 from preb.config import fixed_config
 from preb.config import heat_engine_preset as engine_config
@@ -43,7 +43,7 @@ def write_spectral_table(path, omega, values) -> None:
 
 def bundle_setup(bundle):
     """The set-up a bundle's cycle map was built from, assembled again from its chains."""
-    return assemble_hamiltonian(SystemSpec.two_site(bundle.cfg.g), bundle.chains, bundle.l_b)
+    return assemble_hamiltonian(bundle.cfg.g, bundle.chains, bundle.l_b)
 
 
 @pytest.fixture(scope="session")
@@ -64,12 +64,11 @@ def decoupled_bundle_pieces(l_b=4, tau=1.0, beta=1.0, mu=-2.0):
     Returns the set-up, the Fermi factors of each chain's eigenmodes and the
     thermal specs.
     """
-    system = SystemSpec.two_site(1.0)
     eps = np.zeros(l_b)
     hop = np.full(l_b, 3.0)
     hop[0] = 1e-300
     chain = ChainCoefficients(eps=eps, hop=hop)
-    setup = assemble_hamiltonian(system, [chain, chain], l_b)
+    setup = assemble_hamiltonian(1.0, [chain, chain], l_b)
     spec = BathThermalSpec(beta, mu)
     f = fermi_occupation(spec, setup.chain_eigensystems[0][0])
     return setup, (f, f), (spec, spec)

@@ -353,6 +353,32 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "negative entropy production" in captured.err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[system]\ng = 1e200\n", "integrand overflows"),  # g^2 overflows in det A
+        ("[bath1]\nmu = 1e308\n[bath2]\nmu = -1e308\n", "report overflows"),  # P_chem = inf
+    ], ids=["g-1e200", "mu-1e308-bias"])
+    def test_overflowing_negf_exit_code(self, tmp_path, capsys, text, message):
+        """An input that overflows the NEGF reference is one typed error, not a nan row."""
+        path = tmp_path / "overflow.ini"
+        path.write_text(text)
+        assert cli.main(["negf", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+
+    @pytest.mark.parametrize("command", ["ness", "chainmap", "negf"])
+    def test_overflowing_spectral_table_exit_code(self, tmp_path, capsys, command):
+        """A table over +-1e300 overflows its first moment: a config error naming it."""
+        table = tmp_path / "wide.csv"
+        table.write_text("omega,J\n-1e300,1\n1e300,1\n")
+        path = tmp_path / "run.ini"
+        path.write_text(f"[bath1]\nkind = tabulated\ntable = {table}\n")
+        assert cli.main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(table) in captured.err
+        assert "overflows" in captured.err
+
     def test_trajectory_without_unique_ness(self, tmp_path):
         traj, thermos, report = run_trajectory(parse_config(weak_tabulated_ini(tmp_path)),
                                                steps=3)

@@ -8,7 +8,7 @@ import pytest
 
 import preb
 from conftest import engine_config, fixed_config
-from preb.builder import SystemSpec, assemble_hamiltonian
+from preb.builder import assemble_hamiltonian
 from preb.chainmap import ChainCoefficients, chain_map_tridiag
 from preb.negf import (LeadSelfEnergy, _resolvent_abs2, landauer_currents,
                        transmission_table)
@@ -18,7 +18,6 @@ from preb.spectral import BathThermalSpec, SpectralFunction, fermi_occupation
 
 LEAD1 = SpectralFunction.lorentzian(2.0, 1.0, 2.0, 6.0)
 LEAD2 = SpectralFunction.lorentzian(2.0, 1.0, -1.0, 6.0)
-SYSTEM = SystemSpec.two_site(1.0)
 
 
 class TestSelfEnergy:
@@ -47,14 +46,14 @@ class TestSelfEnergy:
 
         This pins the self-energy prefactor against the chain dynamics: the
         total squared chain coupling is (1/2pi) int J, so the golden-rule decay
-        rate of the occupation equals the plateau height J.
+        rate of the occupation equals the plateau height J.  The level is
+        site 0 of a dimer with g = 0, whose site 1 sits on a ghost chain.
         """
         height, cut = 0.5, 8.0
         sf = SpectralFunction.flat(height, cut)
         chain = chain_map_tridiag(sf, 40)
         ghost = ChainCoefficients(eps=np.zeros(40), hop=np.full(40, 1e-300))
-        system = SystemSpec(h_s=np.zeros((1, 1)), coupling_sites=(0, 0))
-        setup = assemble_hamiltonian(system, [chain, ghost], 40)
+        setup = assemble_hamiltonian(0.0, [chain, ghost], 40)
         t = 4.0
         u, _ = step_propagator(setup, t)
         survival = abs(u[0, 0]) ** 2
@@ -66,25 +65,18 @@ class TestResolvent:
         sigmas = (LeadSelfEnergy(LEAD1), LeadSelfEnergy(LEAD2))
         w = np.linspace(-6.5, 6.5, 1001)
         s1, s2 = sigmas[0](w), sigmas[1](w)
-        system = SystemSpec(h_s=np.array([[0.3, 0.7], [0.7, -0.4]]), coupling_sites=(1, 0))
-        a = w[:, None, None] * np.eye(2) - system.h_s.astype(complex)
-        a[:, 1, 1] -= s1
-        a[:, 0, 0] -= s2
+        g = 0.7
+        a = w[:, None, None] * np.eye(2) - np.array([[0.0, g], [g, 0.0]], dtype=complex)
+        a[:, 0, 0] -= s1
+        a[:, 1, 1] -= s2
         want = np.abs(np.linalg.inv(a)) ** 2
-        assert np.allclose(_resolvent_abs2(system, s1, s2, w), want, rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_other_system_sizes_are_refused(self, n):
-        system = SystemSpec(h_s=np.zeros((n, n)), coupling_sites=(0, n - 1))
-        spec = BathThermalSpec(1.0, 0.0)
-        with pytest.raises(ValueError, match="two-site"):
-            landauer_currents(system, (LEAD1, LEAD2), (spec, spec))
+        assert np.allclose(_resolvent_abs2(g, s1, s2, w), want, rtol=1e-12, atol=0)
 
 
 class TestLandauer:
     def test_no_bias_no_currents(self):
         spec = BathThermalSpec(1.0, -0.5)
-        rep = landauer_currents(SYSTEM, (LEAD1, LEAD2), (spec, spec))
+        rep = landauer_currents(1.0, (LEAD1, LEAD2), (spec, spec))
         assert abs(rep.current) < 1e-10
         assert abs(rep.energy_current) < 1e-10
 
@@ -94,31 +86,31 @@ class TestLandauer:
         lead1 = SpectralFunction.tabulated(grid1, np.full(65, 0.3))
         lead2 = SpectralFunction.tabulated(grid2, np.full(65, 0.3))
         with caplog.at_level(logging.WARNING, logger="preb.negf"):
-            rep = landauer_currents(SYSTEM, (lead1, lead2),
+            rep = landauer_currents(1.0, (lead1, lead2),
                                     (BathThermalSpec(0.5, 0.0), BathThermalSpec(2.0, 0.0)))
         assert rep.current == 0.0 and rep.energy_current == 0.0
         assert not [r for r in caplog.records if "refinement cap" in r.getMessage()]
 
     def test_swapping_leads_negates_currents(self):
         specs = (BathThermalSpec(0.1, -2.0), BathThermalSpec(1.0, -2.0))
-        fwd = landauer_currents(SYSTEM, (LEAD1, LEAD2), specs)
-        bwd = landauer_currents(SYSTEM, (LEAD2, LEAD1), (specs[1], specs[0]))
+        fwd = landauer_currents(1.0, (LEAD1, LEAD2), specs)
+        bwd = landauer_currents(1.0, (LEAD2, LEAD1), (specs[1], specs[0]))
         assert fwd.current == pytest.approx(-bwd.current, abs=1e-8)
         assert fwd.energy_current == pytest.approx(-bwd.energy_current, abs=1e-8)
 
     def test_transmission_bounded_by_one(self):
-        _, t = transmission_table(SYSTEM, (LEAD1, LEAD2))
+        _, t = transmission_table(1.0, (LEAD1, LEAD2))
         assert np.all(t >= 0) and np.all(t <= 1 + 1e-9)
 
     def test_entropy_rate_nonnegative_for_sampled_biases(self):
         for beta1, beta2, mu in ((0.1, 1.0, -2.0), (0.5, 2.0, 0.0), (1.0, 3.0, 1.0)):
-            rep = landauer_currents(SYSTEM, (LEAD1, LEAD2),
+            rep = landauer_currents(1.0, (LEAD1, LEAD2),
                                     (BathThermalSpec(beta1, mu), BathThermalSpec(beta2, mu)))
             assert rep.sigma > -1e-10
 
     def test_equal_potentials_give_balanced_heat(self):
         specs = (BathThermalSpec(0.1, -2.0), BathThermalSpec(1.0, -2.0))
-        rep = landauer_currents(SYSTEM, (LEAD1, LEAD2), specs)
+        rep = landauer_currents(1.0, (LEAD1, LEAD2), specs)
         assert rep.p_chem == 0.0
         assert rep.qdot[0] == pytest.approx(-rep.qdot[1], rel=1e-12)
 
@@ -152,7 +144,7 @@ def _oracle(cfg, sub_cells=4, nodes=12, chunk=200_000):
     edges = (cells[:-1, None] + np.outer(np.diff(cells), np.arange(sub_cells) / sub_cells)).ravel()
     edges = np.append(edges, hi)
     x, wt = np.polynomial.legendre.leggauss(nodes)
-    g = SystemSpec.two_site(cfg.g).h_s[0, 1]
+    g = cfg.g
     total = np.zeros(4)
     for k in range(0, edges.size - 1, chunk):
         a, b = edges[k:-1][:chunk], edges[k + 1:][:chunk]

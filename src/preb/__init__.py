@@ -17,9 +17,8 @@ from .dynamics import (CumulativeThermo, StepThermo, TrajectoryResult,
                        preb_trajectory, step_thermodynamics)
 from .errors import ConfigError, NoUniqueNessError, NumericsError, PrebError
 from .negf import LeadSelfEnergy, NegfReport, landauer_currents, transmission_table
-from .pipeline import (NessBundle, build_bundle, chain_depth,
-                       chain_size_convergence, run_chainmap, run_negf, run_ness,
-                       run_trajectory)
+from .pipeline import (NessBundle, build_bundle, chain_depth, run_chainmap, run_negf,
+                       run_ness, run_trajectory)
 from .propagator import (CycleMap, cycle_map, drive_matrix, solve_dlyap_direct,
                          solve_dlyap_doubling, stability_rate, step_propagator)
 from .spectral import (BathThermalSpec, SpectralFunction, SpectralTable,

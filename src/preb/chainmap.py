@@ -283,20 +283,16 @@ def _first_leak(basis: np.ndarray, ortho_tol: float) -> tuple[Optional[int], flo
     return int(bad[0]), float(overlaps[bad[0]])
 
 
-def chain_map_tridiag(sf: SpectralFunction, depth: int, *,
-                      n_modes: Optional[int] = None) -> ChainCoefficients:
+def chain_map_tridiag(sf: SpectralFunction, depth: int) -> ChainCoefficients:
     """Chain coefficients via discretization and Lanczos tridiagonalization.
 
     Mathematically identical to the moment recursion in the continuum limit,
-    and stable at any depth; this is the production route.
+    and stable at any depth; this is the production route.  The bath is
+    discretized into ``MIN_MODES_PER_SITE`` modes per chain site, at least 2000.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if n_modes is None:
-        n_modes = max(MIN_MODES_PER_SITE * depth, 2000)
-    elif n_modes < MIN_MODES_PER_SITE * depth:
-        raise ValueError(f"n_modes must be at least {MIN_MODES_PER_SITE} * depth")
-    freqs, weights = discretize_modes(sf, n_modes)
+    freqs, weights = discretize_modes(sf, max(MIN_MODES_PER_SITE * depth, 2000))
     eps, hop = star_to_chain(freqs, weights, depth)
     cc = ChainCoefficients(eps=eps, hop=hop)
     if not cc.tail_converged():

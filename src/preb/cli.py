@@ -48,9 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("config", help="INI configuration file")
         p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--l0", type=int, help="override the chain-length offset L_0")
-        p.add_argument("--depth", type=int,
-                       help="override the chain length l_b (at least ceil(g_B tau))")
+        p.add_argument("--l0", type=int, help="override L_0 in l_b = ceil(g_B tau) + L_0")
 
     p_ness = sub.add_parser("ness", help="solve one point and print its report row")
     add_common(p_ness)
@@ -83,8 +81,6 @@ def _load_config(args) -> RunConfig:
     process = cfg.process
     if getattr(args, "l0", None) is not None:
         process = dataclasses.replace(process, l_0=args.l0)
-    if getattr(args, "depth", None) is not None:
-        process = dataclasses.replace(process, depth=args.depth)
     validate_process(process)
     if getattr(args, "steps", 1) < 1:
         raise ConfigError("--steps must be >= 1")

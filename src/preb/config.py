@@ -48,8 +48,6 @@ class ProcessConfig:
     tau: float = 1.0
     l_0: int = 5
     tau_r_factor: float = 10.0
-    depth: Optional[int] = None      # override the chain length l_b chosen from tau
-    n_modes: Optional[int] = None    # override the discretization size
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,7 @@ _BATH_FIELDS = {
     "kind": str, "kappa": float, "lambda": float, "omega0": float,
     "cutoff": float, "beta": float, "mu": float, "table": str,
 }
-_PROCESS_FIELDS = {
-    "tau": float, "l0": int, "tau_r_factor": float, "depth": int, "n_modes": int,
-}
+_PROCESS_FIELDS = {"tau": float, "l0": int, "tau_r_factor": float}
 _SWEEP_FIELDS = {"axis": str, "min": float, "max": float, "points": int, "spacing": str}
 _SYSTEM_FIELDS = {"g": float}
 # INI keys whose dataclass field has another name
@@ -176,8 +172,6 @@ def validate_process(process: ProcessConfig) -> None:
         raise ConfigError("process.tau must be positive")
     if process.l_0 < 0:
         raise ConfigError("process.l0 must be >= 0")
-    if process.depth is not None and process.depth < 1:
-        raise ConfigError("process.depth must be >= 1")
     if process.tau_r_factor <= 0:
         raise ConfigError("process.tau_r_factor must be positive")
 

@@ -234,10 +234,14 @@ def landauer_currents(g: float, leads: tuple[SpectralFunction, SpectralFunction]
 
 def transmission_table(g: float, leads: tuple[SpectralFunction, SpectralFunction]
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """T(w) sampled over the overlap of the lead supports."""
+    """T(w) sampled over the overlap of the lead supports; an overflow raises ``NumericsError``."""
     sigmas = (LeadSelfEnergy(leads[0]), LeadSelfEnergy(leads[1]))
     lo = max(leads[0].support[0], leads[1].support[0])
     hi = min(leads[0].support[1], leads[1].support[1])
     w = np.linspace(lo, hi, TRANSMISSION_POINTS)
     s1, s2 = sigmas[0](w), sigmas[1](w)
-    return w, _transmission(s1, s2, _resolvent_abs2(g, s1, s2, w))
+    with np.errstate(all="ignore"):  # an overflow is raised below, not printed
+        t = _transmission(s1, s2, _resolvent_abs2(g, s1, s2, w))
+    if not np.isfinite(t).all():
+        raise NumericsError(f"the transmission overflows at g = {g:g}; the inputs are too large")
+    return w, t

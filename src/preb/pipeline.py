@@ -1,28 +1,30 @@
 """End-to-end runs: config -> chains -> set-up -> cycle map -> steady state -> report.
 
+Every chain has l_b = ceil(g_B tau) + L_0 sites: the light cone that a cycle
+of length tau reaches at the faster bath's speed g_B, plus the buffer L_0.
+
 The pipeline is deterministic for a fixed configuration, and it keeps two
 process-wide caches, both emptied by ``clear_caches()``:
 
-- chain maps, per (spectral function, discretization size).  Each bath is
-  mapped once, to the fixed depth ``MAP_DEPTH``, and every set-up cuts or pads
-  that map to its chain length l_b, so a tau sweep maps each bath once.  The
-  entry also holds the bath's light-cone speed g_B, the tail hopping of the
-  map's first ``SIZING_WINDOW`` sites, so sizing a chain is a lookup.  Only a
-  bath whose tail has not settled by ``MAP_DEPTH`` is mapped to l_b > MAP_DEPTH
-  on its own, uncached;
+- chain maps, per spectral function.  Each bath is mapped once, to the fixed
+  depth ``MAP_DEPTH``, and every set-up cuts or pads that map to its chain
+  length l_b, so a tau sweep maps each bath once.  The entry also holds the
+  bath's light-cone speed g_B, the tail hopping of the map's first
+  ``SIZING_WINDOW`` sites, so sizing a chain is a lookup.  Only a bath whose
+  tail has not settled by ``MAP_DEPTH`` is mapped to l_b > MAP_DEPTH on its
+  own, uncached;
 - one set-up: its chains and its ``CycleMap``, keyed by (both spectral
-  functions, discretization size, chain length, g, tau).  Neither depends on
-  the temperatures or chemical potentials, so a point that differs only in mu
-  or beta refills the chains' Fermi factors, applies the cycle map to them
-  (the drive matrix and the accounting, O(l_b) each) and solves the Lyapunov
-  equation, nothing more.  The set-up matrix, U and every eigenvector are
-  freed once the cycle map is built, so the entry holds O(l_b) numbers, all
-  read-only, since later points share them.
+  functions, chain length, g, tau).  Neither depends on the temperatures or
+  chemical potentials, so a point that differs only in mu or beta refills the
+  chains' Fermi factors, applies the cycle map to them (the drive matrix and
+  the accounting, O(l_b) each) and solves the Lyapunov equation, nothing more.
+  The set-up matrix, U and every eigenvector are freed once the cycle map is
+  built, so the entry holds O(l_b) numbers, all read-only, since later points
+  share them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Optional
@@ -31,8 +33,8 @@ import numpy as np
 
 from .builder import (assemble_hamiltonian, chain_length_for_tau, copies_required,
                       rethermalization_estimate)
-from .chainmap import MIN_MODES_PER_SITE, ChainCoefficients, chain_map_tridiag
-from .config import RunConfig
+from .chainmap import ChainCoefficients, chain_map_tridiag
+from .config import ProcessConfig, RunConfig
 from .dynamics import preb_trajectory, step_thermodynamics
 from .errors import ConfigError, NoUniqueNessError
 from .negf import NegfReport, landauer_currents
@@ -49,32 +51,24 @@ def clear_caches() -> None:
     _set_up.cache_clear()
 
 
-def _map(sf: SpectralFunction, depth: int, n_modes: Optional[int]) -> ChainCoefficients:
-    if n_modes is not None and n_modes < MIN_MODES_PER_SITE * depth:
-        raise ConfigError(
-            f"process.n_modes = {n_modes} is too small to map a bath to depth {depth}: "
-            f"need at least {MIN_MODES_PER_SITE * depth}")
-    return chain_map_tridiag(sf, depth, n_modes=n_modes)
-
-
 @functools.cache
-def _bath_map(sf: SpectralFunction, n_modes: Optional[int]) -> tuple[ChainCoefficients, float]:
+def _bath_map(sf: SpectralFunction) -> tuple[ChainCoefficients, float]:
     """The bath's map to ``MAP_DEPTH`` sites and its light-cone speed g_B."""
-    chain = _map(sf, MAP_DEPTH, n_modes)
+    chain = chain_map_tridiag(sf, MAP_DEPTH)
     window = ChainCoefficients(chain.eps[:SIZING_WINDOW], chain.hop[:SIZING_WINDOW])
     return chain, window.hop_asym
 
 
-def _chain_for(sf: SpectralFunction, l_b: int, n_modes: Optional[int]) -> ChainCoefficients:
+def _chain_for(sf: SpectralFunction, l_b: int) -> ChainCoefficients:
     """The bath's chain for a set-up of ``l_b`` sites, to be cut or padded to it.
 
     That is the cached map, unless its tail has not settled and ``l_b``
     reaches past it: then the bath is mapped to ``l_b`` itself.
     """
-    chain, _ = _bath_map(sf, n_modes)
+    chain, _ = _bath_map(sf)
     if l_b <= MAP_DEPTH or chain.tail_converged():
         return chain
-    return _map(sf, l_b, n_modes)
+    return chain_map_tridiag(sf, l_b)
 
 
 @dataclass
@@ -123,28 +117,22 @@ class NessBundle:
         return report
 
 
-def chain_depth(cfg: RunConfig) -> int:
-    """Chain length l_b: ceil(g_B tau) + L_0, or the configured override.
+def _chain_length(sfs: tuple[SpectralFunction, ...], process: ProcessConfig) -> int:
+    """l_b = ceil(g_B tau) + L_0, with g_B the faster bath's, from the cached bath maps."""
+    g_b = max(_bath_map(sf)[1] for sf in sfs)
+    return chain_length_for_tau(g_b, process.tau, process.l_0)
 
-    An override may not cut into the light cone ceil(g_B tau), the sites a
-    cycle of length tau reaches; g_B comes from the cached bath maps.
-    """
-    process = cfg.process
-    g_b = max(_bath_map(sf, process.n_modes)[1] for sf in bath_pairs(cfg)[0])
-    if process.depth is None:
-        return chain_length_for_tau(g_b, process.tau, process.l_0)
-    light_cone = chain_length_for_tau(g_b, process.tau, 0)
-    if process.depth < light_cone:
-        raise ConfigError(f"process.depth = {process.depth} is below the light cone "
-                          f"ceil(g_B tau) = {light_cone} of tau = {process.tau:g}")
-    return process.depth
+
+def chain_depth(cfg: RunConfig) -> int:
+    """The configured point's chain length l_b."""
+    return _chain_length(bath_pairs(cfg)[0], cfg.process)
 
 
 @functools.lru_cache(maxsize=1)
-def _set_up(sfs: tuple[SpectralFunction, SpectralFunction], n_modes: Optional[int],
-            l_b: int, g: float, tau: float) -> tuple[tuple[ChainCoefficients, ...], CycleMap]:
+def _set_up(sfs: tuple[SpectralFunction, SpectralFunction], l_b: int, g: float,
+            tau: float) -> tuple[tuple[ChainCoefficients, ...], CycleMap]:
     """The part of a point that neither temperatures nor chemical potentials change."""
-    chains = tuple(_chain_for(sf, l_b, n_modes) for sf in sfs)
+    chains = tuple(_chain_for(sf, l_b) for sf in sfs)
     setup = assemble_hamiltonian(g, chains, l_b)
     return chains, cycle_map(setup, tau)
 
@@ -159,8 +147,7 @@ def bath_pairs(cfg: RunConfig) -> tuple[tuple[SpectralFunction, ...], tuple[Bath
 def build_bundle(cfg: RunConfig) -> NessBundle:
     """Every intermediate of one point; the set-up part comes from the set-up cache."""
     sfs, specs = bath_pairs(cfg)
-    chains, cycle = _set_up(sfs, cfg.process.n_modes, chain_depth(cfg), cfg.g,
-                            cfg.process.tau)
+    chains, cycle = _set_up(sfs, _chain_length(sfs, cfg.process), cfg.g, cfg.process.tau)
     occupations = tuple(fermi_occupation(spec, energies)
                         for spec, energies in zip(specs, cycle.energies))
     p_s = drive_matrix(cycle, *occupations)
@@ -195,24 +182,10 @@ def run_trajectory(cfg: RunConfig, steps: int):
 
 def run_chainmap(cfg: RunConfig) -> tuple[ChainCoefficients, ChainCoefficients]:
     """Each bath's chain as the set-up uses it: ``l_b`` sites, cut or padded."""
-    l_b = chain_depth(cfg)
-    return tuple(ChainCoefficients(*_chain_for(sf, l_b, cfg.process.n_modes).padded(l_b))
-                 for sf in bath_pairs(cfg)[0])
+    sfs = bath_pairs(cfg)[0]
+    l_b = _chain_length(sfs, cfg.process)
+    return tuple(ChainCoefficients(*_chain_for(sf, l_b).padded(l_b)) for sf in sfs)
 
 
 def run_negf(cfg: RunConfig) -> NegfReport:
     return landauer_currents(cfg.g, *bath_pairs(cfg))
-
-
-def chain_size_convergence(cfg: RunConfig) -> float:
-    """Relative change of the steady rates when the chains are twice as long.
-
-    The doubling check of validation mode; small values confirm the
-    light-cone sizing of the chains.
-    """
-    base = run_ness(cfg)
-    ref = run_ness(cfg.replace(process=dataclasses.replace(cfg.process,
-                                                           depth=2 * chain_depth(cfg))))
-    scale = max(abs(ref.qdot[0]), abs(ref.qdot[1]), abs(ref.p_ext), 1e-12)
-    return max(abs(base.p_ext - ref.p_ext), abs(base.qdot[0] - ref.qdot[0]),
-               abs(base.qdot[1] - ref.qdot[1])) / scale

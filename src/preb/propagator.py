@@ -86,10 +86,19 @@ class CycleMap:
 
 
 def step_propagator(setup: SetupHamiltonian, tau: float) -> tuple[np.ndarray, float]:
-    """U = exp(-i H tau) from the set-up's cached eigendecomposition, and its unitarity defect."""
+    """U = exp(-i H tau) from the set-up's cached eigendecomposition, and its unitarity defect.
+
+    A phase E tau is known only to its float64 spacing, |E tau| 2**-52; once
+    that exceeds ``UNITARITY_TOL`` at the largest |E|, U carries no trustworthy
+    phase, and the set-up is refused as a numerical failure.
+    """
     if tau < 0:
         raise ValueError("tau must be non-negative")
     energies, modes = setup.eigensystem
+    phase = float(np.max(np.abs(energies))) * tau
+    if not phase * 2.0 ** -52 <= UNITARITY_TOL:
+        raise NumericsError(f"the largest phase max|E| tau = {phase:.3g} is too large: its "
+                            f"float64 spacing exceeds the unitarity tolerance {UNITARITY_TOL:g}")
     u = (modes * np.exp(-1j * energies * tau)) @ modes.T
     n = u.shape[0]
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from preb.chainmap import ChainCoefficients
 from preb.config import fixed_config
 from preb.config import heat_engine_preset as engine_config
 from preb.config import refrigerator_preset as fridge_config
-from preb.pipeline import build_bundle
+from preb.pipeline import build_bundle, chain_depth, run_ness
 from preb.spectral import BathThermalSpec, fermi_occupation
 
 __all__ = ["engine_config", "fridge_config", "fixed_config"]
@@ -30,6 +31,20 @@ def chain_from_csv(path) -> ChainCoefficients:
     depth = max(eps)
     return ChainCoefficients(eps=np.array([eps[p] for p in range(1, depth + 1)]),
                              hop=np.array([hop[p] for p in range(depth)]))
+
+
+def chain_size_convergence(cfg) -> float:
+    """Relative change of the steady rates when the chains are twice as long.
+
+    Raising L_0 by l_b doubles l_b = ceil(g_B tau) + L_0; small values confirm
+    the light-cone sizing of the chains.
+    """
+    base = run_ness(cfg)
+    longer = dataclasses.replace(cfg.process, l_0=chain_depth(cfg) + cfg.process.l_0)
+    ref = run_ness(cfg.replace(process=longer))
+    scale = max(abs(ref.qdot[0]), abs(ref.qdot[1]), abs(ref.p_ext), 1e-12)
+    return max(abs(base.p_ext - ref.p_ext), abs(base.qdot[0] - ref.qdot[0]),
+               abs(base.qdot[1] - ref.qdot[1])) / scale
 
 
 def write_spectral_table(path, omega, values) -> None:

@@ -260,8 +260,3 @@ def test_recursion_rejects_empty_spectrum():
     empty = SpectralFunction.tabulated(np.linspace(-1, 1, 33), np.zeros(33))
     with pytest.raises(NumericsError, match="decouples"):
         chain_map_recursion(empty, 2)
-
-
-def test_tridiag_enforces_mode_budget():
-    with pytest.raises(ValueError, match="n_modes"):
-        chain_map_tridiag(FLAT, 10, n_modes=100)

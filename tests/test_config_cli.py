@@ -1,4 +1,5 @@
 import io
+import re
 import runpy
 import textwrap
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import chain_from_csv
-from preb import cli, sweeps
+from preb import cli, config, sweeps
 from preb.config import ConfigError, parse_config
 from preb.pipeline import run_ness, run_trajectory
 from preb.sweeps import SweepRow, apply_axis, run_sweep
@@ -110,16 +111,31 @@ class TestConfigParsing:
         "[bath1]\nbeta = -2\n",
         "[process]\ntau = 0\n",
         "[process]\nl0 = -1\n",
-        "[process]\ndepth = 0\n",
+        "[process]\ndepth = 0\n",           # removed key
         "[process]\nmethod = tridiag\n",     # removed key
         "[process]\ngrid_points = 8192\n",  # removed key
+        "[process]\nn_modes = 8000\n",      # removed key
         "[process]\ntau_r_factor = 0\n",
-    ], ids=["beta", "tau", "l0", "depth", "method", "grid_points", "tau_r_factor"])
+    ], ids=["beta", "tau", "l0", "depth", "method", "grid_points", "n_modes",
+            "tau_r_factor"])
     def test_invalid_physics_rejected(self, tmp_path, text):
         path = tmp_path / "bad.ini"
         path.write_text(text)
         with pytest.raises(ConfigError):
             parse_config(path)
+
+    def test_readme_ini_block_names_every_key(self):
+        """The README's annotated config names each accepted key, commented ones included."""
+        block = (ROOT / "README.md").read_text().split("```ini\n")[1].split("```")[0]
+        named, section = {}, None
+        for line in block.splitlines():
+            if header := re.fullmatch(r"\[(\w+)\]", line):
+                section = named.setdefault(header[1], [])
+            elif key := re.match(r"#?\s*(\w+)\s*=", line):
+                section.append(key[1])
+        tables = {"system": config._SYSTEM_FIELDS, "bath1": config._BATH_FIELDS,
+                  "process": config._PROCESS_FIELDS, "sweep": config._SWEEP_FIELDS}
+        assert named == {name: list(fields) for name, fields in tables.items()}
 
 
 class TestSweeps:
@@ -303,11 +319,55 @@ class TestCli:
         """))
         assert cli.main(["ness", str(path)]) == 3
 
-    def test_too_few_modes_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "coarse.ini"
-        path.write_text("[process]\nn_modes = 10\n")
+    @pytest.mark.parametrize("key", ["depth", "n_modes"])
+    def test_retired_process_key_exit_code(self, tmp_path, capsys, key):
+        """l0 alone sizes the chains, and the map sets its own mode count."""
+        path = tmp_path / "retired.ini"
+        path.write_text(f"[process]\n{key} = 12\n")
         assert cli.main(["ness", str(path)]) == 2
-        assert "process.n_modes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"unknown key '{key}' in section [process]" in err
+
+    def test_retired_depth_flag_is_rejected(self, engine_ini, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chainmap", engine_ini, "--depth", "12"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --depth 12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, code", [
+        ("[system]\ng = 1e200\n", 4),  # the phases g tau carry no information
+        ("[system]\ng = 1e3\n", 0),
+    ], ids=["g-1e200", "g-1e3"])
+    def test_huge_hopping_ness_exit_code(self, tmp_path, capsys, text, code):
+        """A phase whose float64 spacing exceeds the unitarity tolerance is a numerics failure."""
+        path = tmp_path / "hopping.ini"
+        path.write_text(text)
+        assert cli.main(["ness", str(path)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and "largest phase" in captured.err
+        else:
+            assert captured.err == ""
+
+    @pytest.mark.parametrize("argv, reads", [
+        (["ness"], 2), (["chainmap"], 2), (["trajectory", "--steps", "3"], 2), (["sweep"], 5),
+    ], ids=["ness", "chainmap", "trajectory", "sweep"])
+    def test_tabulated_bath_is_read_once_per_point(self, tmp_path, monkeypatch, argv, reads):
+        """The config check reads the table once; each point reads it once more."""
+        table = tmp_path / "band.csv"
+        w = np.linspace(-6, 6, 65)
+        table.write_text("omega,J\n" + "".join(f"{wi},{1 - (wi / 6) ** 2}\n" for wi in w))
+        path = tmp_path / "run.ini"
+        path.write_text(f"[bath1]\nkind = tabulated\ntable = {table}\n"
+                        "[sweep]\naxis = mu\nmin = -2\nmax = -1\npoints = 4\nspacing = linear\n")
+        calls = []
+        real = config.read_spectral_table
+        monkeypatch.setattr(config, "read_spectral_table",
+                            lambda p: calls.append(p) or real(p))
+        out = tmp_path / "out.csv"
+        assert cli.main([argv[0], str(path), "--out", str(out), *argv[1:]]) == 0
+        assert calls == [str(table)] * reads
 
     @pytest.mark.parametrize("text, key", [
         ("[process]\ntau = nan\n", "process.tau"),
@@ -399,9 +459,9 @@ class TestCli:
         assert len(lines) == 6
 
     def test_chainmap_command(self, engine_ini, tmp_path):
+        """At tau = 1 the light cone ceil(g_B tau) is 4 sites, so L_0 = 2 gives 6."""
         base = tmp_path / "chain"
-        assert cli.main(["chainmap", engine_ini, "--depth", "6",
-                         "--out", str(base)]) == 0
+        assert cli.main(["chainmap", engine_ini, "--l0", "2", "--out", str(base)]) == 0
         cc = chain_from_csv(f"{base}.bath1.csv")
         assert cc.depth == 6
         assert cc.hop[0] == pytest.approx(1.0, abs=0.03)
@@ -419,11 +479,9 @@ class TestCli:
         assert len(t_lines) > 100
 
     @pytest.mark.parametrize("argv, message", [
-        (["ness", "--depth", "0"], "process.depth"),
-        (["ness", "--depth", "3"], "process.depth = 3 is below the light cone"),
         (["ness", "--l0", "-1"], "process.l0"),
         (["trajectory", "--steps", "0"], "--steps"),
-    ], ids=["depth-0", "depth-below-light-cone", "l0-negative", "steps-0"])
+    ], ids=["l0-negative", "steps-0"])
     def test_invalid_override_exit_code(self, engine_ini, capsys, argv, message):
         assert cli.main([argv[0], engine_ini, *argv[1:]]) == 2
         err = capsys.readouterr().err
@@ -467,11 +525,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "configuration error" in err and "[sweep]" in err
 
-    def test_depth_at_the_light_cone_is_legal(self, tmp_path):
-        """At tau = 1 the light cone ceil(g_B tau) is 4 sites: a 4-site chain runs."""
-        path = tmp_path / "shallow.ini"
-        path.write_text(ENGINE_INI + "depth = 4\n")
-        assert cli.main(["ness", str(path)]) == 0
+    def test_chain_at_the_light_cone_runs(self, engine_ini, tmp_path):
+        """At tau = 1 the light cone ceil(g_B tau) is 4 sites: with L_0 = 0 a 4-site chain runs."""
+        base = tmp_path / "chain"
+        assert cli.main(["chainmap", engine_ini, "--l0", "0", "--out", str(base)]) == 0
+        assert chain_from_csv(f"{base}.bath1.csv").depth == 4
+        assert cli.main(["ness", engine_ini, "--l0", "0"]) == 0
 
     def test_depth_and_l0_overrides(self, engine_ini):
         from preb.pipeline import build_bundle

@@ -1,6 +1,7 @@
 import logging
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import preb
 from conftest import engine_config, fixed_config
 from preb.builder import assemble_hamiltonian
 from preb.chainmap import ChainCoefficients, chain_map_tridiag
+from preb.errors import NumericsError
 from preb.negf import (LeadSelfEnergy, _resolvent_abs2, landauer_currents,
                        transmission_table)
 from preb.pipeline import run_negf, run_ness
@@ -101,6 +103,13 @@ class TestLandauer:
     def test_transmission_bounded_by_one(self):
         _, t = transmission_table(1.0, (LEAD1, LEAD2))
         assert np.all(t >= 0) and np.all(t <= 1 + 1e-9)
+
+    def test_overflowing_transmission_raises(self):
+        """g^2 overflows in the resolvent: a typed error, as landauer_currents raises, not nan."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="transmission overflows"):
+                transmission_table(1e200, (LEAD1, LEAD2))
 
     def test_entropy_rate_nonnegative_for_sampled_biases(self):
         for beta1, beta2, mu in ((0.1, 1.0, -2.0), (0.5, 2.0, 0.0), (1.0, 3.0, 1.0)):

@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import engine_config, write_spectral_table
+from conftest import chain_size_convergence, engine_config, write_spectral_table
 from preb import cli
 from preb.chainmap import chain_map_tridiag
 from preb.config import BathConfig, parse_config
 from preb.dynamics import preb_step
-from preb.pipeline import (MAP_DEPTH, build_bundle, chain_depth, chain_size_convergence,
-                           clear_caches, run_ness, run_trajectory)
+from preb.pipeline import (MAP_DEPTH, build_bundle, chain_depth, clear_caches, run_ness,
+                           run_trajectory)
 from preb.propagator import drive_matrix
 from preb.sweeps import apply_axis, run_sweep, sweep_values
 
@@ -46,12 +46,6 @@ class TestSizing:
         cfg = parse_config(CONFIGS / "sweep_tau.ini")
         taus = sweep_values(cfg.sweep)
         assert sum(chain_depth(apply_axis(cfg, "tau", tau)) for tau in taus) == 642
-
-    def test_explicit_depth_override(self):
-        cfg = engine_config()
-        cfg = cfg.replace(process=dataclasses.replace(cfg.process, depth=13))
-        assert chain_depth(cfg) == 13
-        assert build_bundle(cfg).l_b == 13
 
     def test_chain_size_doubling_check(self):
         """Rates are converged in the chain length; the buffer sets the accuracy.
@@ -113,7 +107,7 @@ class TestChainMaps:
         clear_caches()
         depths = []
         _wrap_at_every_binding(monkeypatch, chain_map_tridiag,
-                               lambda sf, depth, **kwargs: depths.append(depth))
+                               lambda sf, depth: depths.append(depth))
         return depths
 
     def test_tau_sweep_maps_each_bath_once(self, map_depths):
@@ -186,12 +180,11 @@ class TestSetUpCache:
     @pytest.mark.parametrize("change", [
         lambda cfg: apply_axis(cfg, "tau", 1.1),
         lambda cfg: apply_axis(cfg, "lambda", 0.06),
-        lambda cfg: _with_process(cfg, depth=10),
-        lambda cfg: _with_process(cfg, n_modes=7000),
+        lambda cfg: _with_process(cfg, l_0=6),
         lambda cfg: cfg.replace(g=1.1),
-    ], ids=["tau", "lambda", "depth", "n_modes", "g"])
+    ], ids=["tau", "lambda", "l0", "g"])
     def test_set_up_inputs_miss_the_cache(self, change):
-        base_cfg = _with_process(engine_config(), depth=9)  # tau alone keeps l_b
+        base_cfg = engine_config()  # l_b = 9, which tau = 1.1 keeps
         base = build_bundle(base_cfg)
         other = build_bundle(change(base_cfg))
         assert other.cycle is not base.cycle

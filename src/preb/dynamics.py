@@ -10,10 +10,14 @@ The chains enter each cycle thermal, described by the Fermi factors of their
 eigenmodes.  ``preb_step`` applies the cycle map; the per-step accounting
 reads a state and the successor the map made from it, and applies them and
 the Fermi factors to the set-up's ``CycleMap``, so a step costs O(l_b).
+The system is a dimer, so every state here is 2 x 2, and its entropy comes
+from the closed-form eigenvalues of a 2 x 2 Hermitian matrix: a step does no
+eigendecomposition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,10 +30,23 @@ ENTROPY_CLIP = 1e-14
 
 
 def gaussian_entropy(c_s: np.ndarray) -> float:
-    """Von Neumann entropy of the Gaussian state with correlation matrix ``c_s``."""
-    occ = np.linalg.eigvalsh(np.asarray(c_s))
-    occ = np.clip(occ.real, ENTROPY_CLIP, 1.0 - ENTROPY_CLIP)
-    return float(-np.sum(occ * np.log(occ) + (1.0 - occ) * np.log(1.0 - occ)))
+    """Von Neumann entropy of the Gaussian state with the 2 x 2 correlation matrix ``c_s``.
+
+    The occupations are the eigenvalues m +- hypot((a - d)/2, |b|) of the
+    Hermitian [[a, b*], [b, d]], with m = (a + d)/2; as in LAPACK's Hermitian
+    eigensolvers only the lower triangle is read.
+    """
+    c = np.asarray(c_s)
+    if c.shape != (2, 2):
+        raise ValueError(f"gaussian_entropy takes a 2 x 2 state, not {c.shape}")
+    (a, _), (b, d) = c.tolist()
+    a, d = a.real, d.real
+    mean, half_gap = 0.5 * (a + d), math.hypot(0.5 * (a - d), abs(b))
+    s = 0.0
+    for occ in (mean - half_gap, mean + half_gap):
+        occ = min(max(occ, ENTROPY_CLIP), 1.0 - ENTROPY_CLIP)
+        s -= occ * math.log(occ) + (1.0 - occ) * math.log(1.0 - occ)
+    return s
 
 
 def preb_step(c_s: np.ndarray, cycle: CycleMap, p_s: np.ndarray) -> np.ndarray:
@@ -96,10 +113,6 @@ class StepThermo:
         return abs(self.du - (self.w - self.q[0] - self.q[1]))
 
 
-def _expectation(h_block: np.ndarray, c_block: np.ndarray) -> float:
-    return float(np.sum(h_block * c_block).real)
-
-
 def step_thermodynamics(c_s: np.ndarray, ct_s: np.ndarray, cycle: CycleMap,
                         occupations: Sequence[np.ndarray],
                         specs: Sequence[BathThermalSpec]) -> StepThermo:
@@ -119,20 +132,19 @@ def step_thermodynamics(c_s: np.ndarray, ct_s: np.ndarray, cycle: CycleMap,
     Both baths are computed independently, so the first law checks the cycle
     rather than holding by construction.
     """
-    c_s = np.asarray(c_s)
-    du = _expectation(cycle.h_s, ct_s) - _expectation(cycle.h_s, c_s)
-    x = (c_s.ravel() @ cycle.system).real
-    for f, bath in zip(occupations, cycle.bath):
-        x = x + f @ bath
+    c, ct = np.ravel(c_s), np.ravel(ct_s)
+    h = cycle.h_s.ravel()
+    (f1, f2), (bath1, bath2), (spec1, spec2) = occupations, cycle.bath, specs
+    x = (c @ cycle.system).real + f1 @ bath1 + f2 @ bath2
     dn1, dn2, dh_b1, dh_b2, dh_sb1, dh_sb2 = x.tolist()  # the order of CYCLE_COLUMNS
-    q1, q2 = dh_b1 - specs[0].mu * dn1, dh_b2 - specs[1].mu * dn2
-    dn_s = float((np.trace(ct_s) - np.trace(c_s)).real)
+    q1, q2 = dh_b1 - spec1.mu * dn1, dh_b2 - spec2.mu * dn2
     ds = gaussian_entropy(c_s) - gaussian_entropy(ct_s)
-    sigma = specs[0].beta * q1 + specs[1].beta * q2 - ds
-    return StepThermo(du=du, w_ext=-(dh_sb1 + dh_sb2),
-                      w_chem=-(specs[0].mu * dn1 + specs[1].mu * dn2), q=(q1, q2), ds=ds,
-                      sigma=sigma, dn=(dn1, dn2), dn_s=dn_s, dh_b=(dh_b1, dh_b2),
-                      dh_sb=(dh_sb1, dh_sb2))
+    # the trace of a raveled 2 x 2 state is the sum of its entries 0 and 3
+    dn_s = ((ct[0] + ct[3]) - (c[0] + c[3])).real.item()
+    return StepThermo(du=(h @ ct).real.item() - (h @ c).real.item(), w_ext=-(dh_sb1 + dh_sb2),
+                      w_chem=-(spec1.mu * dn1 + spec2.mu * dn2), q=(q1, q2), ds=ds,
+                      sigma=spec1.beta * q1 + spec2.beta * q2 - ds, dn=(dn1, dn2), dn_s=dn_s,
+                      dh_b=(dh_b1, dh_b2), dh_sb=(dh_sb1, dh_sb2))
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ class NessBundle:
         return self.cycle.l_b
 
     def solve_ness(self) -> np.ndarray:
-        return solve_dlyap_direct(self.cycle.g_s, self.p_s)
+        return solve_dlyap_direct(self.cycle.g_s, self.p_s, self.cycle.spectral_radius)
 
     def report(self, c_ness: Optional[np.ndarray] = None) -> NessReport:
         """Steady-state report of this point, solving for ``c_ness`` unless given.

@@ -14,14 +14,20 @@ A thermal chain enters only through the Fermi factors f_l of its eigenmodes,
 so P_S and every per-cycle bath quantity are linear in the f_l with
 coefficients fixed by the set-up.  ``cycle_map`` reduces U to those
 coefficients once per set-up, O(l_b) numbers in a read-only ``CycleMap``; U,
-the set-up matrix and every eigenvector are freed when it returns.  A point
-that changes only temperatures or chemical potentials applies new Fermi
-factors to the same ``CycleMap``.
+the set-up matrix and every eigenvector are freed when it returns.  U itself
+is formed in real arithmetic from the set-up's eigensystem, and its unitarity
+is checked on the orthonormality of the eigenvectors.
+
+A point that changes only temperatures or chemical potentials applies new
+Fermi factors to the same ``CycleMap``: P_S is two vector-matrix products and
+the fixed point one 4 x 4 solve, and the stability check reads the spectral
+radius the set-up computed, so a point does no eigendecomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -50,14 +56,17 @@ class CycleMap:
 
     - ``h_s`` and ``g_s`` = U[S, S], the system Hamiltonian and propagator block;
     - ``energies[l]``, chain l's mode energies, where its Fermi factors f_l are taken;
-    - ``drive[l]`` = Y_l[:, S], so P_S = sum_l drive_l^dag diag(f_l) drive_l;
+    - ``drive[l]``, complex (l_b, 4): row k holds the products
+      conj(Y_l[k, i]) Y_l[k, j] over the system sites (i, j) in row-major
+      order, so P_S = sum_l f_l @ drive[l], reshaped to 2 x 2;
     - ``bath[l]``, real (l_b, 6): entry x of ``f_l @ bath[l]`` is what chain l
       contributes to the change of ``CYCLE_COLUMNS[x]``; chain l's own values
       before the cycle (its particle number and energy) are already subtracted;
     - ``system``, complex (4, 6): the system's contribution is
       Re(C_S.ravel() @ system) for a Hermitian C_S;
-    - ``unitarity_defect`` of U, and the ``spectral_radius`` of G_S with the
-      approach ``rate`` from ``stability_rate``.
+    - ``unitarity_defect`` of U from ``step_propagator``, and the
+      ``spectral_radius`` of G_S with the approach ``rate`` from
+      ``stability_rate``; a point's stability check reads the stored radius.
 
     Its arrays are read-only, since every point of the set-up shares them.
     """
@@ -88,9 +97,12 @@ class CycleMap:
 def step_propagator(setup: SetupHamiltonian, tau: float) -> tuple[np.ndarray, float]:
     """U = exp(-i H tau) from the set-up's cached eigendecomposition, and its unitarity defect.
 
-    A phase E tau is known only to its float64 spacing, |E tau| 2**-52; once
-    that exceeds ``UNITARITY_TOL`` at the largest |E|, U carries no trustworthy
-    phase, and the set-up is refused as a numerical failure.
+    With H = V diag(E) V^T, U = (V cos E tau) V^T - i (V sin E tau) V^T, two
+    real products.  U is unitary to roundoff when V is orthogonal, so the
+    defect is max|V^T V - I|.  A phase E tau is known only to its float64
+    spacing, |E tau| 2**-52; once that exceeds ``UNITARITY_TOL`` at the largest
+    |E|, U carries no trustworthy phase, and the set-up is refused as a
+    numerical failure.
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
@@ -99,11 +111,16 @@ def step_propagator(setup: SetupHamiltonian, tau: float) -> tuple[np.ndarray, fl
     if not phase * 2.0 ** -52 <= UNITARITY_TOL:
         raise NumericsError(f"the largest phase max|E| tau = {phase:.3g} is too large: its "
                             f"float64 spacing exceeds the unitarity tolerance {UNITARITY_TOL:g}")
-    u = (modes * np.exp(-1j * energies * tau)) @ modes.T
-    n = u.shape[0]
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-    if defect > UNITARITY_TOL:
+    overlap = modes.T @ modes
+    n = overlap.shape[0]
+    overlap.flat[::n + 1] -= 1.0
+    defect = float(np.max(np.abs(overlap)))
+    del overlap  # n^2 floats, freed before U takes 2 n^2
+    if not defect <= UNITARITY_TOL:
         raise NumericsError(f"propagator lost unitarity: defect {defect:.3e}")
+    u = np.empty((n, n), dtype=complex)
+    u.real = (modes * np.cos(energies * tau)) @ modes.T
+    u.imag = (modes * -np.sin(energies * tau)) @ modes.T
     return u, defect
 
 
@@ -163,7 +180,9 @@ def _cycle_operators(setup: SetupHamiltonian, u: np.ndarray):
     before = (t * t) @ w_site + (t[:, :-1] * t[:, 1:]) @ w_bond
     y = y.view(complex)
     bath = after - before + (y[:, links].conj() * y[:, heads]).real @ w_link
-    drive = (y[:l_b, setup.system].copy(), y[l_b:, setup.system].copy())
+    ys = y[:, setup.system]
+    outer = (ys.conj()[:, :, None] * ys[:, None, :]).reshape(2 * l_b, l_s * l_s)
+    drive = (outer[:l_b].copy(), outer[l_b:].copy())
     return drive, (bath[:l_b].copy(), bath[l_b:].copy()), system
 
 
@@ -171,16 +190,23 @@ def drive_matrix(cycle: CycleMap, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Injection term P_S = sum_l G_{B_l S}^dag C_{B_l}^therm G_{B_l S}.
 
     ``f1`` and ``f2`` are the Fermi factors of each chain's eigenmodes, in the
-    order of ``CycleMap.energies``.  In that eigenbasis the
-    sum is sum_l A_l^dag diag(f_l) A_l, Hermitian positive semidefinite by
-    construction; it is symmetrized only to make it Hermitian to the last bit.
+    order of ``CycleMap.energies``.  In that eigenbasis the sum is
+    sum_l A_l^dag diag(f_l) A_l, Hermitian positive semidefinite by
+    construction; ``CycleMap.drive`` holds each A_l^dag diag(.) A_l as a
+    linear map of the f_l, so P_S is sum_l f_l @ drive[l].  It is symmetrized
+    only to make it Hermitian to the last bit.
     """
     p = 0
-    for a, f in zip(cycle.drive, (f1, f2)):
-        if np.shape(f) != (a.shape[0],):
+    for d, f in zip(cycle.drive, (f1, f2)):
+        if np.shape(f) != (d.shape[0],):
             raise ValueError("Fermi factors do not match the chain length")
-        p = p + (a.conj().T * f) @ a
+        p = p + f @ d
+    p = p.reshape(2, 2)
     return 0.5 * (p + p.conj().T)
+
+
+def _spectral_radius(g_s: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(g_s))))
 
 
 def stability_rate(g_s: np.ndarray, tau: float) -> tuple[float, float]:
@@ -192,31 +218,39 @@ def stability_rate(g_s: np.ndarray, tau: float) -> tuple[float, float]:
     """
     if not (tau > 0):
         raise ValueError("tau must be positive")
-    radius = float(np.max(np.abs(np.linalg.eigvals(g_s))))
+    radius = _spectral_radius(g_s)
     rate = -np.log(radius) / tau if radius > 0 else np.inf
     return radius, float(rate)
 
 
-def _check_stable(g_s: np.ndarray) -> float:
-    radius = float(np.max(np.abs(np.linalg.eigvals(g_s))))
-    if radius >= 1.0 - RADIUS_MARGIN:
+def _check_stable(radius: float) -> None:
+    if not radius < 1.0 - RADIUS_MARGIN:
         raise NoUniqueNessError(
             f"no unique NESS at this tau: spectral radius {radius:.15g} is not < 1")
-    return radius
 
 
-def solve_dlyap_direct(g_s: np.ndarray, p_s: np.ndarray) -> np.ndarray:
+def _lyapunov_operator(g_s: np.ndarray) -> np.ndarray:
+    # I - G^dag kron G^T, the matrix of C -> C - G^dag C G on row-major vec(C);
+    # broadcasting forms the same single product per entry as np.kron
+    n = g_s.shape[0]
+    kron = g_s.conj().T[:, None, :, None] * g_s.T[None, :, None, :]
+    return np.eye(n * n, dtype=complex) - kron.reshape(n * n, n * n)
+
+
+def solve_dlyap_direct(g_s: np.ndarray, p_s: np.ndarray,
+                       radius: Optional[float] = None) -> np.ndarray:
     """Solve C - G^dag C G = P by dense linearization over matrix entries.
 
-    Exact up to roundoff; cost (L_S^2)^3, fine at desk scale.
+    Exact up to roundoff; cost (L_S^2)^3, fine at desk scale.  ``radius`` is
+    the spectral radius of G when the caller holds it already, as a
+    ``CycleMap`` does; otherwise it is computed here.
     """
     n = g_s.shape[0]
     if g_s.shape != (n, n) or p_s.shape != (n, n):
         raise ValueError("g_s and p_s must be square matrices of equal size")
-    _check_stable(g_s)
+    _check_stable(_spectral_radius(g_s) if radius is None else radius)
     # row-major vec: vec(A X B) = (A kron B^T) vec(X)
-    a = np.eye(n * n, dtype=complex) - np.kron(g_s.conj().T, g_s.T)
-    c = np.linalg.solve(a, p_s.reshape(-1)).reshape(n, n)
+    c = np.linalg.solve(_lyapunov_operator(g_s), p_s.reshape(-1)).reshape(n, n)
     return 0.5 * (c + c.conj().T)
 
 
@@ -227,7 +261,7 @@ def solve_dlyap_doubling(g_s: np.ndarray, p_s: np.ndarray, *,
     Converges super-geometrically for any stable G; the reference that the
     production solver ``solve_dlyap_direct`` is checked against.
     """
-    _check_stable(g_s)
+    _check_stable(_spectral_radius(g_s))
     c = np.array(p_s, dtype=complex)
     a = np.array(g_s, dtype=complex)
     for _ in range(max_doublings):

@@ -545,12 +545,12 @@ class TestValidationHarness:
         import preb.pipeline as pipeline
         real = pipeline.solve_dlyap_direct
         monkeypatch.setattr(pipeline, "solve_dlyap_direct",
-                            lambda g, p: 1.01 * real(g, p))
+                            lambda g, p, radius: 1.01 * real(g, p, radius))
         assert not CRITERIA["C01"](_Shared()).passed
 
     def test_validate_cli_exit_code_on_failure(self, monkeypatch, capsys):
         import preb.pipeline as pipeline
         real = pipeline.solve_dlyap_direct
         monkeypatch.setattr(pipeline, "solve_dlyap_direct",
-                            lambda g, p: 1.01 * real(g, p))
+                            lambda g, p, radius: 1.01 * real(g, p, radius))
         assert cli.main(["validate"]) == 5

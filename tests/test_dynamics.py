@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from conftest import bundle_setup, decoupled_bundle_pieces, engine_config
 from preb.builder import thermal_correlation
 from preb import cli
-from preb.dynamics import (StepThermo, cumulative_thermo, gaussian_entropy, preb_step,
-                           preb_trajectory, step_thermodynamics)
+from preb.dynamics import (ENTROPY_CLIP, StepThermo, cumulative_thermo, gaussian_entropy,
+                           preb_step, preb_trajectory, step_thermodynamics)
 from preb.pipeline import build_bundle, run_negf
 from preb.propagator import cycle_map, step_propagator
 from preb.sweeps import apply_axis
@@ -31,25 +31,49 @@ def random_system_state(rng, n=2):
     return (v * occ) @ v.conj().T
 
 
+def dense_entropy(c_s) -> float:
+    """The entropy from ``eigvalsh`` occupations, clipped as ``gaussian_entropy`` clips them."""
+    occ = np.clip(np.linalg.eigvalsh(c_s), ENTROPY_CLIP, 1.0 - ENTROPY_CLIP)
+    return float(-np.sum(occ * np.log(occ) + (1.0 - occ) * np.log(1.0 - occ)))
+
+
 class TestGaussianEntropy:
     def test_pure_states_have_zero_entropy(self):
-        assert gaussian_entropy(np.zeros((3, 3))) == pytest.approx(0.0, abs=1e-11)
-        assert gaussian_entropy(np.eye(3)) == pytest.approx(0.0, abs=1e-11)
+        assert gaussian_entropy(np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-11)
+        assert gaussian_entropy(np.eye(2)) == pytest.approx(0.0, abs=1e-11)
 
     def test_maximally_mixed_two_sites(self):
         assert gaussian_entropy(0.5 * np.eye(2)) == pytest.approx(2 * np.log(2))
 
     def test_single_mode_reference_value(self):
         nu = 0.2689414213699951  # Fermi factor at beta * (w - mu) = 1
-        assert gaussian_entropy(np.array([[nu]])) == \
+        assert gaussian_entropy(np.diag([nu, 0.0])) == \
             pytest.approx(0.5822031088882179, rel=1e-12)
 
     def test_basis_invariance(self):
         rng = np.random.default_rng(0)
-        c = random_system_state(rng, 4)
-        w = rng.normal(size=(4, 4))
-        q, _ = np.linalg.qr(w)
+        c = random_system_state(rng)
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         assert gaussian_entropy(q @ c @ q.T) == pytest.approx(gaussian_entropy(c))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 4), (2,)])
+    def test_only_two_site_states(self, shape):
+        with pytest.raises(ValueError, match="2 x 2"):
+            gaussian_entropy(np.zeros(shape))
+
+    def test_closed_form_matches_the_eigensolver(self):
+        """Random states, and near-pure ones with occupations within 1e-15 of 0 and 1."""
+        rng = np.random.default_rng(11)
+        states = [random_system_state(rng) for _ in range(200)]
+        for _ in range(200):
+            occ = rng.choice([0.0, 1.0], size=2) + rng.uniform(-1e-15, 1e-15, size=2)
+            if rng.random() < 0.5:  # one pure mode and one mixed one
+                occ[rng.integers(2)] = rng.random()
+            _, v = np.linalg.eigh(random_system_state(rng))
+            states.append((v * np.clip(occ, 0.0, 1.0)) @ v.conj().T)
+        for c in states:
+            assert abs(gaussian_entropy(c) - dense_entropy(c)) < 1e-13
 
 
 class TestPrebStep:

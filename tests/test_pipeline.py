@@ -98,6 +98,28 @@ class TestWorkPerPoint:
         assert calls == {"drive_matrix": 1, "preb_step": 51}
 
 
+def test_warm_point_does_no_eigendecomposition(monkeypatch):
+    """On a cached set-up a new mu and beta1 take 2 x 2 algebra and one 4 x 4 solve."""
+    cfg = engine_config(tau=50.0)
+    run_ness(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm point called an eigensolver")
+
+    for name in ("eigvals", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rep = run_ness(cfg.replace(bath1=dataclasses.replace(cfg.bath1, mu=-1.7, beta=0.3),
+                               bath2=dataclasses.replace(cfg.bath2, mu=-1.7)))
+    assert (rep.mu, rep.beta1) == (-1.7, 0.3)
+    scale = max(abs(rep.qdot[0]), abs(rep.qdot[1]), abs(rep.p_ext), abs(rep.p_chem),
+                abs(rep.hdot_b[0]), abs(rep.hdot_b[1]), 1e-12)
+    assert abs(rep.p - rep.qdot[0] - rep.qdot[1]) < 1e-8 * scale
+    assert rep.sigma > -1e-10
+    assert abs(rep.ndot[0] + rep.ndot[1]) < 1e-10
+    for merit, carnot in ((rep.eta, rep.eta_c), (rep.cop, rep.cop_c)):
+        assert merit is None or merit - carnot < 1e-12
+
+
 class TestChainMaps:
     """Each bath is mapped once, to ``MAP_DEPTH``, and cut or padded to every l_b."""
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import bundle_setup, decoupled_bundle_pieces
 from preb.builder import SetupHamiltonian
 from preb.errors import NoUniqueNessError, NumericsError
-from preb.propagator import (cycle_map, drive_matrix, solve_dlyap_direct,
+from preb.propagator import (_lyapunov_operator, cycle_map, drive_matrix, solve_dlyap_direct,
                              solve_dlyap_doubling, stability_rate, step_propagator)
 
 
@@ -60,6 +60,26 @@ class TestStepPropagator:
         with pytest.raises(NumericsError, match="lost unitarity"):
             step_propagator(setup, 1.0)
 
+    def test_nan_in_the_modes_is_rejected(self):
+        """A NaN defect fails the unitarity check, before the set-up reaches an eigensolver."""
+        setup, _, _ = decoupled_bundle_pieces()
+        energies, modes = np.linalg.eigh(setup.h)
+        modes[3, 2] = np.nan
+        setup.__dict__["eigensystem"] = (energies, modes)
+        with pytest.raises(NumericsError, match="lost unitarity"):
+            step_propagator(setup, 1.0)
+        with pytest.raises(NumericsError, match="lost unitarity"):
+            cycle_map(setup, 1.0)
+
+    def test_real_arithmetic_matches_the_complex_exponential(self, engine_bundle):
+        setup = bundle_setup(engine_bundle)
+        energies, modes = setup.eigensystem
+        u, defect = step_propagator(setup, 1.3)
+        dense = (modes * np.exp(-1j * energies * 1.3)) @ modes.T
+        assert np.max(np.abs(u - dense)) < 1e-14
+        identity = np.eye(setup.n_sites)
+        assert defect == np.max(np.abs(modes.T @ modes - identity))
+
 
 class TestDriveMatrix:
     def test_decoupled_baths_inject_nothing(self):
@@ -82,6 +102,19 @@ class TestDriveMatrix:
         p = engine_bundle.p_s
         assert np.max(np.abs(p - p.conj().T)) == 0.0
         assert np.min(np.linalg.eigvalsh(p)) > -1e-12
+
+    def test_matches_the_dense_sum_over_chain_modes(self, engine_bundle):
+        """P_S = sum_l A_l^dag diag(f_l) A_l with A_l = V_l^T U[B_l, S], formed densely."""
+        setup = bundle_setup(engine_bundle)
+        u, _ = step_propagator(setup, engine_bundle.cycle.tau)
+        rng = np.random.default_rng(3)
+        for f1, f2 in [engine_bundle.occupations, rng.random((2, engine_bundle.l_b))]:
+            dense = 0
+            for b, (_, v), f in zip((setup.bath1, setup.bath2), setup.chain_eigensystems,
+                                    (f1, f2)):
+                a = v.T @ u[b, setup.system]
+                dense = dense + (a.conj().T * f) @ a
+            assert np.max(np.abs(drive_matrix(engine_bundle.cycle, f1, f2) - dense)) < 1e-15
 
     def test_occupations_must_match_the_chains(self, engine_bundle):
         f1, f2 = engine_bundle.occupations
@@ -131,6 +164,18 @@ class TestLyapunovSolvers:
             solve_dlyap_direct(g, np.eye(2))
         with pytest.raises(NoUniqueNessError):
             solve_dlyap_doubling(1.001 * np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_operator_is_the_kronecker_form(self, n):
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        dense = np.eye(n * n, dtype=complex) - np.kron(g.conj().T, g.T)
+        assert_array_equal(_lyapunov_operator(g), dense)
+
+    def test_nan_radius_is_not_stable(self):
+        """The stored radius of a point is checked so that NaN fails, as a radius >= 1 does."""
+        with pytest.raises(NoUniqueNessError, match="no unique NESS"):
+            solve_dlyap_direct(0.5 * np.eye(2), np.eye(2), np.nan)
 
     def test_doubling_iteration_cap(self):
         g = (1 - 1e-9) * np.eye(2, dtype=complex)

@@ -1,9 +1,13 @@
-"""Assemble the finite set-up: the two-site system plus two mapped chains as one block Hamiltonian.
+"""Assemble the finite set-up: the two-site system plus two mapped chains as one tridiagonal matrix.
 
-Everything is expressed at the single-particle level: the set-up Hamiltonian is
-a real-symmetric (2 + 2 L_B) x (2 + 2 L_B) matrix in block form
-(system | chain 1 | chain 2) with no direct chain-chain coupling.  Units are
-hbar = k_B = 1 with the system hopping g setting the energy scale.
+Everything is expressed at the single-particle level.  Ordered along its path,
+chain 1 from its tail to its head, the system sites s0 and s1, then chain 2
+from its head to its tail, the set-up is a real-symmetric tridiagonal matrix
+of size 2 + 2 L_B: each chain couples only to its own system site, and the
+system sites only to each other.  ``SetupHamiltonian`` keeps its two bands and
+takes its eigensystems from a tridiagonal eigensolver, never from a dense
+matrix.  Units are hbar = k_B = 1 with the system hopping g setting the energy
+scale.
 """
 
 from __future__ import annotations
@@ -30,17 +34,23 @@ def _snap(x: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SetupHamiltonian:
-    """Block single-particle matrix (system | chain 1 | chain 2) with its index map.
+    """The set-up's path-ordered tridiagonal matrix, as its two bands, with its index map.
 
     Built from the dimer hopping ``g`` and each chain's ``(eps, hop)`` pair of
-    length ``l_b`` (``hop[0]`` couples chain l's head to system site l), it
-    assembles ``h`` once.  Its structure holds by construction: tridiagonal
-    chain blocks, one link per chain at its head, no chain-chain block.
+    length ``l_b`` (``hop[0]`` couples chain l's head to system site l).  Along
+    the path chain 1 reversed -> s0 -> s1 -> chain 2 the matrix has
+
+    - ``diagonal`` = [eps1 reversed, 0, 0, eps2];
+    - ``off_diagonal`` = [hop1[1:] reversed, hop1[0], g, hop2[0], hop2[1:]].
+
+    ``system`` indexes s0 and s1 in that order; ``bath1`` and ``bath2`` index
+    each chain from its head, so ``bath1`` runs backwards along the path.
     """
 
     g: float
     chains: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    h: np.ndarray = field(init=False, repr=False)
+    diagonal: np.ndarray = field(init=False, repr=False)
+    off_diagonal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.chains) != 2:
@@ -51,16 +61,10 @@ class SetupHamiltonian:
         if l_b < 1 or any(a.shape != (l_b,) for chain in chains for a in chain):
             raise ValueError("each chain needs 1-d eps and hop arrays of one common length >= 1")
         object.__setattr__(self, "chains", chains)
-        h = np.zeros((2 + 2 * l_b, 2 + 2 * l_b))
-        h[0, 1] = h[1, 0] = self.g
-        idx = np.arange(l_b)
-        for site, ((eps, hop), b) in enumerate(zip(chains, (self.bath1, self.bath2))):
-            off = b.start
-            h[site, off] = h[off, site] = hop[0]
-            h[off + idx, off + idx] = eps
-            h[off + idx[:-1], off + idx[1:]] = hop[1:]
-            h[off + idx[1:], off + idx[:-1]] = hop[1:]
-        object.__setattr__(self, "h", h)
+        (eps1, hop1), (eps2, hop2) = chains
+        object.__setattr__(self, "diagonal", np.concatenate([eps1[::-1], [0.0, 0.0], eps2]))
+        object.__setattr__(self, "off_diagonal", np.concatenate(
+            [hop1[:0:-1], [hop1[0], self.g, hop2[0]], hop2[1:]]))
 
     @property
     def l_b(self) -> int:
@@ -72,25 +76,32 @@ class SetupHamiltonian:
 
     @property
     def system(self) -> slice:
-        return slice(0, 2)
+        return slice(self.l_b, self.l_b + 2)
 
     @property
     def bath1(self) -> slice:
-        return slice(2, 2 + self.l_b)
+        return slice(self.l_b - 1, None, -1)
 
     @property
     def bath2(self) -> slice:
-        return slice(2 + self.l_b, self.n_sites)
+        return slice(self.l_b + 2, self.n_sites)
 
     @functools.cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of the full matrix, computed once and reused."""
-        return np.linalg.eigh(self.h)
+        """Eigendecomposition of the path-ordered matrix, computed once and reused."""
+        return _eigh_tridiagonal(self.diagonal, self.off_diagonal)
 
     @functools.cached_property
     def chain_eigensystems(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Eigendecomposition of each chain block, computed once and reused."""
-        return tuple(np.linalg.eigh(self.h[b, b]) for b in (self.bath1, self.bath2))
+        """Eigendecomposition of each chain, its rows from the head on, computed once and reused."""
+        return tuple(_eigh_tridiagonal(eps, hop[1:]) for eps, hop in self.chains)
+
+
+def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # scipy.linalg is imported here rather than with the package: it doubles the
+    # time and memory of ``import preb``, and only a new set-up needs it
+    from scipy.linalg import eigh_tridiagonal
+    return eigh_tridiagonal(d, e, lapack_driver="stevd")
 
 
 def chain_length_for_tau(g_b: float, tau: float, l_0: int) -> int:

@@ -33,6 +33,7 @@ coupling of the recursion above.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -248,25 +249,26 @@ def _lanczos(freqs: np.ndarray, basis: np.ndarray, eps: np.ndarray, hop: np.ndar
     the Krylov space is exhausted.
     """
     steps = basis.shape[0]
+    fw, r, tmp = np.empty((3, freqs.size))  # buffers: every step writes in place
     for p in range(start, steps):
         w = basis[p]
-        fw = freqs * w
+        np.multiply(freqs, w, out=fw)
         alpha = float(np.dot(fw, w))
         eps[p] = alpha
         if p == steps - 1:
             break
-        r = fw - alpha * w
+        np.subtract(fw, np.multiply(alpha, w, out=tmp), out=r)
         if p:
-            r -= hop[p] * basis[p - 1]
+            np.subtract(r, np.multiply(hop[p], basis[p - 1], out=tmp), out=r)
         if reorthogonalize:
             q = basis[:p + 1]
             for _ in range(2):
                 r -= (q @ r) @ q
-        beta = float(np.linalg.norm(r))
+        beta = math.sqrt(np.dot(r, r))  # as np.linalg.norm computes it
         if beta <= 1e-13 * scale:
             return p + 1  # Krylov space exhausted: the chain terminates here
         hop[p + 1] = beta
-        basis[p + 1] = r / beta
+        np.divide(r, beta, out=basis[p + 1])
     return steps
 
 

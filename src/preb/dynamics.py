@@ -13,6 +13,16 @@ the Fermi factors to the set-up's ``CycleMap``, so a step costs O(l_b).
 The system is a dimer, so every state here is 2 x 2, and its entropy comes
 from the closed-form eigenvalues of a 2 x 2 Hermitian matrix: a step does no
 eigendecomposition.
+
+States and Fermi factors live in one of two frames.  In the particle frame
+they are C_S and f_l.  In the hole frame they are C_S-bar = 1 - C_S and
+f_l-bar = 1 - f_l: unitarity makes C_S = 1 with f_l = 1 a fixed point at which
+every per-cycle change vanishes, so the cycle map keeps its form,
+C-bar' = G_S^dag C-bar G_S + P_S(f-bar), and every change of the accounting
+is minus the same linear form evaluated on (C-bar, f-bar).  When the baths
+are nearly filled, the hole frame computes each change from small numbers
+instead of as a difference of large ones; the particle frame would compute
+the heat Q = dH_B - mu dN from a dN that is all roundoff, times mu.
 """
 
 from __future__ import annotations
@@ -27,6 +37,12 @@ from .propagator import CycleMap
 from .spectral import BathThermalSpec
 
 ENTROPY_CLIP = 1e-14
+PARTICLE, HOLE = "particle", "hole"  # the frames of a state and its Fermi factors
+
+
+def in_frame(c_s: np.ndarray, frame: str) -> np.ndarray:
+    """The particle-frame state ``c_s`` in ``frame``, or back: the map is its own inverse."""
+    return np.eye(2) - c_s if frame == HOLE else c_s
 
 
 def gaussian_entropy(c_s: np.ndarray) -> float:
@@ -115,7 +131,7 @@ class StepThermo:
 
 def step_thermodynamics(c_s: np.ndarray, ct_s: np.ndarray, cycle: CycleMap,
                         occupations: Sequence[np.ndarray],
-                        specs: Sequence[BathThermalSpec]) -> StepThermo:
+                        specs: Sequence[BathThermalSpec], frame: str = PARTICLE) -> StepThermo:
     """The accounting of the cycle that took the system from ``c_s`` to ``ct_s``.
 
     ``ct_s`` is the map's image G_S^dag c_s G_S + P_S, as ``preb_step`` or a
@@ -131,17 +147,23 @@ def step_thermodynamics(c_s: np.ndarray, ct_s: np.ndarray, cycle: CycleMap,
     per bath plus one contraction with c_s, so a step costs O(l_b), not O(n^3).
     Both baths are computed independently, so the first law checks the cycle
     rather than holding by construction.
+
+    The states and the Fermi factors are in ``frame``; in the hole frame every
+    change, dU and dN_S included, is minus its linear form, and the entropy,
+    the same for C and 1 - C, needs no sign.
     """
+    sign = -1.0 if frame == HOLE else 1.0
     c, ct = np.ravel(c_s), np.ravel(ct_s)
     h = cycle.h_s.ravel()
     (f1, f2), (bath1, bath2), (spec1, spec2) = occupations, cycle.bath, specs
-    x = (c @ cycle.system).real + f1 @ bath1 + f2 @ bath2
+    x = sign * ((c @ cycle.system).real + f1 @ bath1 + f2 @ bath2)
     dn1, dn2, dh_b1, dh_b2, dh_sb1, dh_sb2 = x.tolist()  # the order of CYCLE_COLUMNS
     q1, q2 = dh_b1 - spec1.mu * dn1, dh_b2 - spec2.mu * dn2
     ds = gaussian_entropy(c_s) - gaussian_entropy(ct_s)
     # the trace of a raveled 2 x 2 state is the sum of its entries 0 and 3
-    dn_s = ((ct[0] + ct[3]) - (c[0] + c[3])).real.item()
-    return StepThermo(du=(h @ ct).real.item() - (h @ c).real.item(), w_ext=-(dh_sb1 + dh_sb2),
+    dn_s = sign * ((ct[0] + ct[3]) - (c[0] + c[3])).real.item()
+    du = sign * ((h @ ct).real.item() - (h @ c).real.item())
+    return StepThermo(du=du, w_ext=-(dh_sb1 + dh_sb2),
                       w_chem=-(spec1.mu * dn1 + spec2.mu * dn2), q=(q1, q2), ds=ds,
                       sigma=spec1.beta * q1 + spec2.beta * q2 - ds, dn=(dn1, dn2), dn_s=dn_s,
                       dh_b=(dh_b1, dh_b2), dh_sb=(dh_sb1, dh_sb2))

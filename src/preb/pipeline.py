@@ -18,9 +18,13 @@ process-wide caches, both emptied by ``clear_caches()``:
   chemical potentials, so a point that differs only in mu or beta refills the
   chains' Fermi factors, applies the cycle map to them (the drive matrix and
   the accounting, O(l_b) each) and solves the Lyapunov equation, nothing more.
-  The set-up matrix, U and every eigenvector are freed once the cycle map is
+  The set-up's bands, U and every eigenvector are freed once the cycle map is
   built, so the entry holds O(l_b) numbers, all read-only, since later points
   share them.
+
+Each point picks its frame (``preb.dynamics``) in ``build_bundle``: the hole
+frame when the mean Fermi factor over both chains' modes exceeds 1/2, else
+the particle frame.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .builder import (assemble_hamiltonian, chain_length_for_tau, copies_require
                       rethermalization_estimate)
 from .chainmap import ChainCoefficients, chain_map_tridiag
 from .config import ProcessConfig, RunConfig
-from .dynamics import preb_trajectory, step_thermodynamics
+from .dynamics import HOLE, PARTICLE, in_frame, preb_trajectory, step_thermodynamics
 from .errors import ConfigError, NoUniqueNessError
 from .negf import NegfReport, landauer_currents
 from .propagator import CycleMap, cycle_map, drive_matrix, solve_dlyap_direct
@@ -73,7 +77,12 @@ def _chain_for(sf: SpectralFunction, l_b: int) -> ChainCoefficients:
 
 @dataclass
 class NessBundle:
-    """All intermediate objects of one parameter point, for reuse and inspection."""
+    """All intermediate objects of one parameter point, for reuse and inspection.
+
+    ``occupations``, ``p_s`` and every state the bundle solves for or reads
+    are in its ``frame``: in the hole frame they are the holes' 1 - f_l,
+    the drive matrix made from them, and 1 - C_S.
+    """
 
     cfg: RunConfig
     chains: tuple[ChainCoefficients, ChainCoefficients]
@@ -81,6 +90,7 @@ class NessBundle:
     specs: tuple[BathThermalSpec, BathThermalSpec]
     occupations: tuple[np.ndarray, np.ndarray]  # Fermi factors of each chain's eigenmodes
     p_s: np.ndarray
+    frame: str  # "particle" or "hole"
 
     @property
     def l_b(self) -> int:
@@ -97,7 +107,8 @@ class NessBundle:
         """
         if c_ness is None:
             c_ness = self.solve_ness()
-        report = ness_rates(c_ness, self.cycle, self.p_s, self.occupations, self.specs)
+        report = ness_rates(c_ness, self.cycle, self.p_s, self.occupations, self.specs,
+                            self.frame)
         if report.beta1 < report.beta2:
             classify_regime(report)
         cfg = self.cfg
@@ -150,9 +161,14 @@ def build_bundle(cfg: RunConfig) -> NessBundle:
     chains, cycle = _set_up(sfs, _chain_length(sfs, cfg.process), cfg.g, cfg.process.tau)
     occupations = tuple(fermi_occupation(spec, energies)
                         for spec, energies in zip(specs, cycle.energies))
+    frame = PARTICLE
+    if occupations[0].sum() + occupations[1].sum() > cycle.l_b:  # a mean above 1/2
+        frame = HOLE
+        occupations = tuple(fermi_occupation(spec, energies, hole=True)
+                            for spec, energies in zip(specs, cycle.energies))
     p_s = drive_matrix(cycle, *occupations)
     return NessBundle(cfg=cfg, chains=chains, cycle=cycle, specs=specs,
-                      occupations=occupations, p_s=p_s)
+                      occupations=occupations, p_s=p_s, frame=frame)
 
 
 def run_ness(cfg: RunConfig) -> NessReport:
@@ -164,7 +180,8 @@ def run_trajectory(cfg: RunConfig, steps: int):
     """Iterate the cycle map from the empty system, with per-step thermodynamics.
 
     Returns (TrajectoryResult, [StepThermo per cycle], NessReport or None); the
-    report is None when the point has no unique steady state.
+    report is None when the point has no unique steady state.  The map runs in
+    the bundle's frame, and the returned states are in the particle frame.
     """
     bundle = build_bundle(cfg)
     try:
@@ -173,10 +190,12 @@ def run_trajectory(cfg: RunConfig, steps: int):
         c_ness, report = None, None
     else:
         report = bundle.report(c_ness)
-    c0 = np.zeros(bundle.cycle.h_s.shape, dtype=complex)
+    c0 = in_frame(np.zeros(bundle.cycle.h_s.shape, dtype=complex), bundle.frame)
     traj = preb_trajectory(c0, steps, bundle.cycle, bundle.p_s, c_ness=c_ness)
-    thermos = [step_thermodynamics(c, ct, bundle.cycle, bundle.occupations, bundle.specs)
+    thermos = [step_thermodynamics(c, ct, bundle.cycle, bundle.occupations, bundle.specs,
+                                   bundle.frame)
                for c, ct in zip(traj.states[:-1], traj.states[1:])]
+    traj.states = [in_frame(c, bundle.frame) for c in traj.states]
     return traj, thermos, report
 
 

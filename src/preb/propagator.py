@@ -13,10 +13,11 @@ circle.
 A thermal chain enters only through the Fermi factors f_l of its eigenmodes,
 so P_S and every per-cycle bath quantity are linear in the f_l with
 coefficients fixed by the set-up.  ``cycle_map`` reduces U to those
-coefficients once per set-up, O(l_b) numbers in a read-only ``CycleMap``; U,
-the set-up matrix and every eigenvector are freed when it returns.  U itself
-is formed in real arithmetic from the set-up's eigensystem, and its unitarity
-is checked on the orthonormality of the eigenvectors.
+coefficients once per set-up, O(l_b) numbers in a read-only ``CycleMap``; U
+and every eigenvector are freed when it returns.  U itself is formed in real
+arithmetic from the set-up's tridiagonal eigensystem, in the set-up's path
+order, and its unitarity is checked on the orthonormality of the
+eigenvectors; the reduction then takes one chain at a time.
 
 A point that changes only temperatures or chemical potentials applies new
 Fermi factors to the same ``CycleMap``: P_S is two vector-matrix products and
@@ -131,59 +132,61 @@ def cycle_map(setup: SetupHamiltonian, tau: float) -> CycleMap:
     g_s = u[s, s].copy()
     radius, rate = stability_rate(g_s, tau)
     drive, bath, system = _cycle_operators(setup, u)
-    return CycleMap(tau=tau, h_s=setup.h[s, s].copy(), g_s=g_s,
+    return CycleMap(tau=tau, h_s=np.array([[0.0, setup.g], [setup.g, 0.0]]), g_s=g_s,
                     energies=tuple(e.copy() for e, _ in setup.chain_eigensystems),
                     drive=drive, bath=bath, system=system, unitarity_defect=defect,
                     spectral_radius=radius, rate=rate)
 
 
 def _cycle_operators(setup: SetupHamiltonian, u: np.ndarray):
-    """(drive, bath, system) of ``CycleMap``, each a copy that holds no part of U."""
-    l_s, l_b = 2, setup.l_b
-    (eps1, hop1), (eps2, hop2) = setup.chains
-    # Each quantity x of CYCLE_COLUMNS reads the evolved state as
-    # sum w_x Re ct[i, j] over site pairs (i, j): every chain site with itself
-    # (its particle number and on-site energy), every bond of a chain, and the
-    # link of chain l's head to system site l; distinct sites weigh 2 h_ij.
-    links, heads = [0, 1], [setup.bath1.start, setup.bath2.start]
-    w_site = np.zeros((2 * l_b, len(CYCLE_COLUMNS)))
-    w_site[:l_b, 0] = w_site[l_b:, 1] = 1.0
-    w_site[:l_b, 2], w_site[l_b:, 3] = eps1, eps2
-    w_bond = np.zeros((2 * l_b - 1, len(CYCLE_COLUMNS)))  # the bond between the chains: 0
-    w_bond[:l_b - 1, 2], w_bond[l_b:, 3] = 2.0 * hop1[1:], 2.0 * hop2[1:]
-    w_link = np.zeros((2, len(CYCLE_COLUMNS)))
-    w_link[0, 4], w_link[1, 5] = 2.0 * hop1[0], 2.0 * hop2[0]
+    """(drive, bath, system) of ``CycleMap``, each a copy that holds no part of U.
+
+    U is in the set-up's path order, along which every weight below is a site
+    or a bond of the tridiagonal matrix.  The chains are reduced one at a
+    time, so no temporary is larger than l_b x 2n floats.
+    """
+    l_b, n = setup.l_b, setup.n_sites
+    d, e = setup.diagonal, setup.off_diagonal
+    # Each quantity x of CYCLE_COLUMNS reads the evolved state ct along the path
+    # as sum_p site[p, x] ct[p, p] + sum_p bond[p, x] Re ct[p, p + 1]: the sites
+    # of chain l weigh 1 in its particle number and their on-site energy in its
+    # energy, the bonds inside chain l weigh twice their hopping in its energy,
+    # and the bond of chain l's head to system site l twice its hopping in
+    # chain l's coupling energy; the system's own bond weighs nothing.
+    sites = (slice(0, l_b), slice(l_b + 2, n))
+    bonds = (slice(0, l_b - 1), slice(l_b + 2, n - 1))
+    links = (l_b - 1, l_b + 1)
+    site = np.zeros((n, len(CYCLE_COLUMNS)))
+    bond = np.zeros((n - 1, len(CYCLE_COLUMNS)))
+    for m in range(2):
+        site[sites[m], m] = 1.0
+        site[sites[m], 2 + m] = d[sites[m]]
+        bond[bonds[m], 2 + m] = 2.0 * e[bonds[m]]
+        bond[links[m], 4 + m] = 2.0 * e[links[m]]
 
     # source: the system, whose state enters as a full matrix
     z = u[setup.system]
-    sites = np.arange(l_s, setup.n_sites)
-    left = z[:, np.concatenate([sites, sites[:-1], links])].conj()
-    right = z[:, np.concatenate([sites, sites[1:], heads])]
-    system = ((left[:, None] * right[None]).reshape(l_s * l_s, -1)
-              @ np.concatenate([w_site, w_bond, w_link]))
+    left = np.concatenate([z, z[:, :-1]], axis=1).conj()
+    right = np.concatenate([z, z[:, 1:]], axis=1)
+    system = (left[:, None] * right[None]).reshape(4, -1) @ np.concatenate([site, bond])
 
-    # source: the chains' eigenmodes (rows of t), each occupied with its own f
-    t = np.zeros((2 * l_b, 2 * l_b))
-    y = np.empty((2 * l_b, 2 * setup.n_sites))
-    for m, (b, (_, modes)) in enumerate(zip((setup.bath1, setup.bath2),
-                                            setup.chain_eigensystems)):
-        rows = slice(m * l_b, (m + 1) * l_b)
-        t[rows, rows] = modes.T
-        np.matmul(modes.T, u[b].view(float), out=y[rows])  # Y_m on its float view
-    # on the float view, real and imaginary parts alternate: squares sum to
-    # |y_i|^2 and products two floats apart to Re(conj(y_i) y_i+1)
-    yc = y[:, 2 * l_s:]
-    after = ((yc * yc) @ np.repeat(w_site, 2, axis=0)
-             + (yc[:, :-2] * yc[:, 2:]) @ np.repeat(w_bond, 2, axis=0))
-    # less each chain's own particle number and energy before the cycle, from
-    # the modes as computed, so that C_B = V diag(f) V^T is the state evolved
-    before = (t * t) @ w_site + (t[:, :-1] * t[:, 1:]) @ w_bond
-    y = y.view(complex)
-    bath = after - before + (y[:, links].conj() * y[:, heads]).real @ w_link
-    ys = y[:, setup.system]
-    outer = (ys.conj()[:, :, None] * ys[:, None, :]).reshape(2 * l_b, l_s * l_s)
-    drive = (outer[:l_b].copy(), outer[l_b:].copy())
-    return drive, (bath[:l_b].copy(), bath[l_b:].copy()), system
+    # source: each chain's eigenmodes, mode k occupied with its own f_k
+    drive, bath = [], []
+    site2, bond2 = np.repeat(site, 2, axis=0), np.repeat(bond, 2, axis=0)
+    for m, (_, modes) in enumerate(setup.chain_eigensystems):
+        vt = (modes[::-1] if m == 0 else modes).T  # row k: mode k along the path
+        # Y_m = V_m^T U[B_m, :] on the float view of U, where real and imaginary
+        # parts alternate: squares sum to |y_p|^2, and products two floats
+        # apart to Re(conj(y_p) y_p+1)
+        y = vt @ u[sites[m]].view(float)
+        after = (y * y) @ site2 + (y[:, :-2] * y[:, 2:]) @ bond2
+        # less the chain's own particle number and energy before the cycle, from
+        # the modes as computed, so that C_B = V diag(f) V^T is the state evolved
+        before = (vt * vt) @ site[sites[m]] + (vt[:, :-1] * vt[:, 1:]) @ bond[bonds[m]]
+        bath.append(after - before)
+        ys = y.view(complex)[:, setup.system]
+        drive.append((ys.conj()[:, :, None] * ys[:, None, :]).reshape(l_b, 4))
+    return tuple(drive), tuple(bath), system
 
 
 def drive_matrix(cycle: CycleMap, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ A spectral function J(w) >= 0 with hard support cutoffs fully determines the
 influence of a bath on the system; together with the Fermi function of the
 bath's initial thermal state it fixes the reduced dynamics.  Closed-form
 antiderivatives of J and w*J are exposed because the chain-mapping routines
-need exact cell integrals.
+need exact cell integrals.  Fermi factors, of particles or of holes, are
+computed in numpy alone, so that importing the package loads no scipy module.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 LORENTZIAN = "lorentzian"
 FLAT = "flat"
@@ -218,9 +218,16 @@ def _table_cumulative_eval(table: SpectralTable, cum_j, cum_m, w, moment: bool):
 # -- occupations -----------------------------------------------------------
 
 
-def fermi_occupation(spec: BathThermalSpec, omega):
-    """Fermi function 1 / (exp(beta (w - mu)) + 1); overflow-safe for any argument."""
-    f = expit(-spec.beta * (np.asarray(omega, dtype=float) - spec.mu))
+def fermi_occupation(spec: BathThermalSpec, omega, *, hole: bool = False):
+    """Fermi function 1 / (exp(beta (w - mu)) + 1); overflow-safe for any argument.
+
+    With ``hole``, its complement 1 - f = 1 / (exp(-beta (w - mu)) + 1), the
+    occupation of holes, computed without cancellation.  An exponent that
+    overflows to inf gives the limit 0, and without a warning.
+    """
+    with np.errstate(over="ignore"):
+        x = spec.beta * (np.asarray(omega, dtype=float) - spec.mu)
+        f = 1.0 / (1.0 + np.exp(-x if hole else x))
     return float(f) if np.ndim(f) == 0 else f
 
 

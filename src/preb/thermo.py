@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import StepThermo, preb_step, step_thermodynamics
+from .dynamics import PARTICLE, StepThermo, preb_step, step_thermodynamics
 from .errors import NumericsError
 from .propagator import CycleMap
 from .spectral import BathThermalSpec
@@ -54,6 +54,7 @@ class NessReport:
     spectral_radius: Optional[float] = None
     n_copies: Optional[int] = None
     lam: Optional[float] = None
+    frame: str = PARTICLE  # of the steady state the accounting read: "particle" or "hole"
     step: Optional[StepThermo] = field(default=None, repr=False)
 
 
@@ -71,11 +72,12 @@ def curzon_ahlborn_efficiency(beta1: float, beta2: float) -> float:
 
 def ness_rates(c_s_ness: np.ndarray, cycle: CycleMap, p_s: np.ndarray,
                occupations: Sequence[np.ndarray],
-               specs: Sequence[BathThermalSpec]) -> NessReport:
+               specs: Sequence[BathThermalSpec], frame: str = PARTICLE) -> NessReport:
     """Per-cycle thermodynamics at the steady state, divided by the cycle time.
 
     ``occupations`` are the Fermi factors (f1, f2) of the chains' eigenmodes,
-    as in ``step_thermodynamics``.  The map is applied once: its image shows
+    and ``c_s_ness``, ``p_s`` and they are in ``frame``, as in
+    ``step_thermodynamics``.  The map is applied once: its image shows
     that the input really is the fixed point and feeds the accounting, which
     must find internal energy and entropy stationary and the entropy
     production not negative before rates are reported.
@@ -85,7 +87,7 @@ def ness_rates(c_s_ness: np.ndarray, cycle: CycleMap, p_s: np.ndarray,
     residual = float(np.max(np.abs(c_next - c_s_ness)))
     if residual > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(c_s_ness)))):
         raise NumericsError(f"state is not a fixed point of the cycle map: residual {residual:.3e}")
-    st = step_thermodynamics(c_s_ness, c_next, cycle, occupations, specs)
+    st = step_thermodynamics(c_s_ness, c_next, cycle, occupations, specs, frame)
     scale = max(abs(st.dh_b[0]), abs(st.dh_b[1]), abs(st.w_ext), abs(st.q[0]),
                 abs(st.q[1]), 1e-12)
     # the absolute floor covers roundoff at points where every rate vanishes
@@ -93,12 +95,11 @@ def ness_rates(c_s_ness: np.ndarray, cycle: CycleMap, p_s: np.ndarray,
     if abs(st.du) > floor or abs(st.ds) > floor:
         raise NumericsError(
             f"steady state not stationary: dU={st.du:.3e}, dS={st.ds:.3e}, scale={scale:.3e}")
-    # a huge |mu| turns roundoff in dN into heat Q = dH_B - mu dN of either sign
     if st.sigma < -floor:
         raise NumericsError(
             f"negative entropy production per cycle: sigma={st.sigma:.3e}, scale={scale:.3e}")
     report = NessReport(tau=tau, beta1=specs[0].beta, beta2=specs[1].beta,
-                        mu=specs[0].mu)
+                        mu=specs[0].mu, frame=frame)
     report.p_ext = st.w_ext / tau
     report.p_chem = st.w_chem / tau
     report.p = report.p_ext + report.p_chem

@@ -9,7 +9,9 @@ from preb.chainmap import ChainCoefficients
 from preb.config import fixed_config
 from preb.config import heat_engine_preset as engine_config
 from preb.config import refrigerator_preset as fridge_config
+from preb.dynamics import HOLE
 from preb.pipeline import build_bundle, chain_depth, run_ness
+from preb.propagator import drive_matrix
 from preb.spectral import BathThermalSpec, fermi_occupation
 
 __all__ = ["engine_config", "fridge_config", "fixed_config"]
@@ -47,6 +49,21 @@ def chain_size_convergence(cfg) -> float:
                abs(base.qdot[1] - ref.qdot[1])) / scale
 
 
+def assert_conservation_laws(rep) -> None:
+    """The laws of criterion C02 on one steady-state report, at its tolerances.
+
+    Every rate is finite, the first law holds to 1e-8 of the largest rate,
+    sigma >= -1e-10 and the particle currents cancel to 1e-10.
+    """
+    rates = [rep.p_ext, rep.p_chem, *rep.qdot, *rep.ndot, *rep.hdot_b, *rep.hdot_sb, rep.sigma]
+    assert np.isfinite(rates).all(), rates
+    scale = max(abs(rep.qdot[0]), abs(rep.qdot[1]), abs(rep.p_ext), abs(rep.p_chem),
+                abs(rep.hdot_b[0]), abs(rep.hdot_b[1]), 1e-12)
+    assert abs(rep.p - rep.qdot[0] - rep.qdot[1]) < 1e-8 * scale
+    assert rep.sigma > -1e-10
+    assert abs(rep.ndot[0] + rep.ndot[1]) < 1e-10
+
+
 def write_spectral_table(path, omega, values) -> None:
     """Write ``omega,J`` rows, the table format of a ``kind = tabulated`` bath."""
     with open(path, "w", newline="") as fh:
@@ -54,6 +71,33 @@ def write_spectral_table(path, omega, values) -> None:
         writer.writerow(["omega", "J"])
         for w, j in zip(np.asarray(omega, dtype=float), np.asarray(values, dtype=float)):
             writer.writerow([f"{w:.12g}", f"{j:.12g}"])
+
+
+def dense_hamiltonian(setup) -> np.ndarray:
+    """The set-up's dense n x n matrix, assembled site by site through its index map.
+
+    The oracle for the set-up's bands and eigensystems: g links the two
+    system sites, and chain l's head links to system site l.
+    """
+    n = setup.n_sites
+    sites = np.arange(n)
+    h = np.zeros((n, n))
+    s0, s1 = sites[setup.system]
+    h[s0, s1] = h[s1, s0] = setup.g
+    for link, (eps, hop), b in zip((s0, s1), setup.chains, (setup.bath1, setup.bath2)):
+        idx = sites[b]  # chain sites from the head on
+        h[link, idx[0]] = h[idx[0], link] = hop[0]
+        h[idx, idx] = eps
+        h[idx[:-1], idx[1:]] = h[idx[1:], idx[:-1]] = hop[1:]
+    return h
+
+
+def bundle_in_frame(bundle, frame):
+    """``bundle`` with its occupations, drive matrix and frame moved to ``frame``."""
+    occupations = tuple(fermi_occupation(spec, energies, hole=frame == HOLE)
+                        for spec, energies in zip(bundle.specs, bundle.cycle.energies))
+    return dataclasses.replace(bundle, occupations=occupations,
+                               p_s=drive_matrix(bundle.cycle, *occupations), frame=frame)
 
 
 def bundle_setup(bundle):

@@ -1,16 +1,28 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import bundle_setup, dense_hamiltonian, engine_config
 from preb.builder import (SetupHamiltonian, assemble_hamiltonian, chain_length_for_tau,
                           copies_required, rethermalization_estimate, thermal_correlation)
 from preb.chainmap import ChainCoefficients
+from preb.pipeline import build_bundle
 from preb.spectral import BathThermalSpec, fermi_occupation
 
 
 def toy_chain(eps_vals, hop_vals):
     return ChainCoefficients(eps=np.asarray(eps_vals, dtype=float),
                              hop=np.asarray(hop_vals, dtype=float))
+
+
+def band_matrix(setup) -> np.ndarray:
+    """The dense tridiagonal matrix of the set-up's two bands."""
+    d, e = setup.diagonal, setup.off_diagonal
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def orthogonality_defect(modes) -> float:
+    return float(np.max(np.abs(modes.T @ modes - np.eye(modes.shape[1]))))
 
 
 class TestChainLength:
@@ -58,37 +70,44 @@ class TestAssemble:
         assert energies.shape == (2 + 2 * l_b,)
 
     def test_minimal_block_layout(self):
+        """Path chain 1 head -> s0 -> s1 -> chain 2 head: one tridiagonal matrix."""
         chain1 = toy_chain([0.7], [0.4])
         chain2 = toy_chain([-0.3], [0.2])
         setup = assemble_hamiltonian(1.0, [chain1, chain2], 1)
+        assert_array_equal(setup.diagonal, [0.7, 0.0, 0.0, -0.3])
+        assert_array_equal(setup.off_diagonal, [0.4, 1.0, 0.2])
         expected = np.array([
-            [0.0, 1.0, 0.4, 0.0],
-            [1.0, 0.0, 0.0, 0.2],
-            [0.4, 0.0, 0.7, 0.0],
-            [0.0, 0.2, 0.0, -0.3],
+            [0.7, 0.4, 0.0, 0.0],
+            [0.4, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, 0.2],
+            [0.0, 0.0, 0.2, -0.3],
         ])
-        assert_allclose(setup.h, expected)
+        assert_array_equal(dense_hamiltonian(setup), expected)
 
     def test_exact_symmetry_for_random_inputs(self):
+        """The bands are exactly the site-by-site matrix, which is exactly symmetric."""
         rng = np.random.default_rng(3)
         for _ in range(5):
-            chain = toy_chain(rng.normal(size=6), rng.uniform(0.1, 2.0, 6))
-            setup = assemble_hamiltonian(rng.normal(), [chain, chain], 6)
-            assert np.max(np.abs(setup.h - setup.h.T)) == 0.0
+            chains = [toy_chain(rng.normal(size=6), rng.uniform(0.1, 2.0, 6)) for _ in range(2)]
+            setup = assemble_hamiltonian(rng.normal(), chains, 6)
+            h = dense_hamiltonian(setup)
+            assert np.max(np.abs(h - h.T)) == 0.0
+            assert_array_equal(band_matrix(setup), h)
 
     def test_near_zero_coupling_gives_block_diagonal(self):
         chain = toy_chain([0.5, 0.5], [1e-300, 2.0])
         setup = assemble_hamiltonian(1.0, [chain, chain], 2)
+        h = dense_hamiltonian(setup)
         s, b1, b2 = setup.system, setup.bath1, setup.bath2
-        assert np.max(np.abs(setup.h[s, b1])) <= 1e-300
-        assert np.max(np.abs(setup.h[s, b2])) <= 1e-300
+        assert np.max(np.abs(h[s, b1])) <= 1e-300
+        assert np.max(np.abs(h[s, b2])) <= 1e-300
 
     def test_padding_beyond_available_depth(self):
         chain = toy_chain([0.1, 0.2, 0.2], [0.9, 3.1, 2.9])
         setup = assemble_hamiltonian(1.0, [chain, chain], 6)
-        b1 = setup.bath1
-        diag = np.diag(setup.h[b1, b1])
-        assert_allclose(diag[3:], chain.eps_asym)
+        for b in (setup.bath1, setup.bath2):
+            assert_allclose(setup.diagonal[b][3:], chain.eps_asym)
+            assert_array_equal(setup.diagonal[b][:3], chain.eps)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -97,6 +116,31 @@ class TestAssemble:
             SetupHamiltonian(1.0, ((np.zeros(3), np.ones(3)), (np.zeros(2), np.ones(2))))
         with pytest.raises(ValueError, match="common length"):
             SetupHamiltonian(1.0, ((np.zeros(3), np.ones(2)), (np.zeros(3), np.ones(3))))
+
+
+class TestEigensystems:
+    @pytest.mark.parametrize("tau", [1.0, 50.0])
+    def test_match_the_dense_oracle(self, tau):
+        """Eigenvalues of the dense matrix to 1e-13, and orthonormal eigenvectors to 1e-13."""
+        setup = bundle_setup(build_bundle(engine_config(tau=tau)))
+        h = dense_hamiltonian(setup)
+        energies, modes = setup.eigensystem
+        assert modes.shape == (setup.n_sites, setup.n_sites)
+        assert np.max(np.abs(energies - np.linalg.eigvalsh(h))) <= 1e-13
+        assert orthogonality_defect(modes) <= 1e-13
+        assert np.max(np.abs(h @ modes - modes * energies)) <= 1e-13
+        for b, (chain_energies, chain_modes) in zip((setup.bath1, setup.bath2),
+                                                    setup.chain_eigensystems):
+            block = h[b, b]
+            assert np.max(np.abs(chain_energies - np.linalg.eigvalsh(block))) <= 1e-13
+            assert orthogonality_defect(chain_modes) <= 1e-13
+            assert np.max(np.abs(block @ chain_modes - chain_modes * chain_energies)) <= 1e-13
+
+    def test_single_site_chains(self):
+        setup = assemble_hamiltonian(0.5, [toy_chain([0.7], [0.4]), toy_chain([-0.3], [0.2])], 1)
+        assert [e.tolist() for e, _ in setup.chain_eigensystems] == [[0.7], [-0.3]]
+        assert_allclose(setup.eigensystem[0], np.linalg.eigvalsh(dense_hamiltonian(setup)),
+                        rtol=0, atol=1e-15)
 
 
 class TestThermalCorrelation:

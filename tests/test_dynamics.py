@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import bundle_setup, decoupled_bundle_pieces, engine_config
+from conftest import bundle_setup, decoupled_bundle_pieces, dense_hamiltonian, engine_config
 from preb.builder import thermal_correlation
 from preb import cli
-from preb.dynamics import (ENTROPY_CLIP, StepThermo, cumulative_thermo, gaussian_entropy,
-                           preb_step, preb_trajectory, step_thermodynamics)
+from preb.dynamics import (ENTROPY_CLIP, HOLE, PARTICLE, StepThermo, cumulative_thermo,
+                           gaussian_entropy, in_frame, preb_step, preb_trajectory,
+                           step_thermodynamics)
 from preb.pipeline import build_bundle, run_negf
 from preb.propagator import cycle_map, step_propagator
 from preb.sweeps import apply_axis
@@ -17,9 +18,13 @@ from preb.thermo import ness_rates
 
 
 def account(c_s, bundle) -> StepThermo:
-    """The accounting of one cycle of ``bundle`` from ``c_s``, its successor made by the map."""
-    return step_thermodynamics(c_s, preb_step(c_s, bundle.cycle, bundle.p_s), bundle.cycle,
-                               bundle.occupations, bundle.specs)
+    """The accounting of one cycle of ``bundle`` from the particle-frame state ``c_s``.
+
+    The state moves to the bundle's frame, where the map makes its successor.
+    """
+    c = in_frame(c_s, bundle.frame)
+    return step_thermodynamics(c, preb_step(c, bundle.cycle, bundle.p_s), bundle.cycle,
+                               bundle.occupations, bundle.specs, bundle.frame)
 
 
 def random_system_state(rng, n=2):
@@ -158,29 +163,34 @@ def dense_step_thermodynamics(c_s, bundle) -> StepThermo:
     """The accounting on the full evolved state ct = U^dag c0 U: the reference.
 
     The set-up is assembled again from the bundle's chains, and the chains
-    start in their dense thermal states from ``thermal_correlation``.
+    start in their dense thermal states from ``thermal_correlation``.  In a
+    hole-frame bundle the whole initial state is replaced by 1 - c0, and every
+    change is minus that of the state so evolved; the entropy needs no sign.
     """
     setup, specs = bundle_setup(bundle), bundle.specs
     u, _ = step_propagator(setup, bundle.cycle.tau)
-    h, s = setup.h, setup.system
+    h, s = dense_hamiltonian(setup), setup.system
     bath_slices = (setup.bath1, setup.bath2)
     n = setup.n_sites
     c0 = np.zeros((n, n), dtype=complex)
     c0[s, s] = c_s
     for b, spec in zip(bath_slices, specs):
         c0[b, b] = thermal_correlation(h[b, b], spec)
+    sign = 1.0
+    if bundle.frame == HOLE:
+        c0, sign = np.eye(n) - c0, -1.0
     ct = u.conj().T @ c0 @ u
 
     def energy(c, rows, cols):
         return float(np.sum(h[rows, cols] * c[rows, cols]).real)
 
-    du = energy(ct, s, s) - energy(c0, s, s)
+    du = sign * (energy(ct, s, s) - energy(c0, s, s))
     dh_b, dh_sb, dn, q = [], [], [], []
     for b, spec in zip(bath_slices, specs):
-        db = energy(ct, b, b) - energy(c0, b, b)
-        dnum = float((np.trace(ct[b, b]) - np.trace(c0[b, b])).real)
+        db = sign * (energy(ct, b, b) - energy(c0, b, b))
+        dnum = sign * float((np.trace(ct[b, b]) - np.trace(c0[b, b])).real)
         dh_b.append(db)
-        dh_sb.append(energy(ct, s, b) + energy(ct, b, s))
+        dh_sb.append(sign * (energy(ct, s, b) + energy(ct, b, s)))
         dn.append(dnum)
         q.append(db - spec.mu * dnum)
     ds = gaussian_entropy(c0[s, s]) - gaussian_entropy(ct[s, s])
@@ -189,7 +199,7 @@ def dense_step_thermodynamics(c_s, bundle) -> StepThermo:
                       q=(q[0], q[1]), ds=ds,
                       sigma=specs[0].beta * q[0] + specs[1].beta * q[1] - ds,
                       dn=(dn[0], dn[1]),
-                      dn_s=float((np.trace(ct[s, s]) - np.trace(c0[s, s])).real),
+                      dn_s=sign * float((np.trace(ct[s, s]) - np.trace(c0[s, s])).real),
                       dh_b=(dh_b[0], dh_b[1]), dh_sb=(dh_sb[0], dh_sb[1]))
 
 
@@ -210,11 +220,15 @@ class TestStepThermodynamics:
         Relative to the largest field of the step: single fields such as
         Q = dH_B - mu dN cancel far below the step's scale, and there the
         reference itself carries that scale's roundoff.  The mu and beta points
-        after the first reuse its set-up, and with it its cycle operators.
+        after the first reuse its set-up, and with it its cycle operators.  The
+        mu = 0.7 point has a mean Fermi factor above 1/2, so it and its
+        reference run in the hole frame.
         """
         base = engine_config(tau=tau)
         points = [base] + [apply_axis(base, axis, value) for axis, value in
                            (("mu", -1.3), ("mu", 0.7), ("beta1", 0.3))]
+        frames = [build_bundle(cfg).frame for cfg in points]
+        assert frames == [PARTICLE, PARTICLE, HOLE, PARTICLE]
         for cfg in points:
             bundle = build_bundle(cfg)
             rng = np.random.default_rng(11)
@@ -243,14 +257,18 @@ class TestStepThermodynamics:
             assert st.sigma > -1e-10
 
     def test_filled_band_equilibrium_is_silent(self):
-        """Fully filled global state: the cycle moves no energy, particles, or entropy."""
+        """Fully filled global state: the cycle moves no energy, particles, or entropy.
+
+        The hole frame sees an empty state with empty baths, so every change
+        is exactly zero, not roundoff times mu = 1e4.
+        """
         bundle = build_bundle(engine_config().replace(
             bath1=engine_config().bath1.__class__(lam=0.2, beta=1.0, mu=1e4),
             bath2=engine_config().bath2.__class__(lam=0.2, omega0=-1.0, beta=1.0, mu=1e4)))
+        assert bundle.frame == HOLE
         c_s = np.eye(2, dtype=complex)
         st = account(c_s, bundle)
-        assert abs(st.sigma) < 1e-9
-        assert abs(st.q[0]) < 1e-9 and abs(st.q[1]) < 1e-9
+        assert all(x == 0.0 for x in _fields(st).values())
 
     def test_infinite_temperature_equilibrium_is_silent(self):
         cfg = engine_config(lam=0.2)

@@ -6,15 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import chain_size_convergence, engine_config, write_spectral_table
+from conftest import (assert_conservation_laws, bundle_in_frame, chain_size_convergence,
+                      engine_config, fixed_config, write_spectral_table)
 from preb import cli
 from preb.chainmap import chain_map_tridiag
 from preb.config import BathConfig, parse_config
-from preb.dynamics import preb_step
+from preb.dynamics import HOLE, PARTICLE, in_frame, preb_step
 from preb.pipeline import (MAP_DEPTH, build_bundle, chain_depth, clear_caches, run_ness,
                            run_trajectory)
 from preb.propagator import drive_matrix
 from preb.sweeps import apply_axis, run_sweep, sweep_values
+from preb.validation import _rho_to_mu
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -227,3 +229,62 @@ class TestSetUpCache:
             while array.base is not None:  # nor is any a view into a larger array
                 array = array.base
             assert array.size <= 6 * cycle.l_b
+
+
+RATES = ("p_ext", "p_chem", "qdot", "ndot", "hdot_b", "hdot_sb", "sigma")
+
+
+def _rates(report) -> np.ndarray:
+    return np.hstack([getattr(report, name) for name in RATES])
+
+
+class TestFrame:
+    """Filled baths are accounted in holes: 1 - C_S and 1 - f_l."""
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
+    def test_shipped_configs_count_particles(self, path):
+        report = run_ness(parse_config(path))
+        assert report.frame == PARTICLE
+
+    @pytest.mark.parametrize("lam", [0.05, 1e-3])
+    @pytest.mark.parametrize("rho, frame", [(1.028, HOLE), (0.995, PARTICLE)])
+    def test_level_ratio_scan_ends(self, lam, rho, frame):
+        """C04's outermost points: mu = 109.1 fills both baths and mu = -598 empties them.
+
+        With a path-ordered eigensolver and particles alone, sigma at
+        rho = 1.028, lambda = 1e-3 came out -3e-12, below the stationarity
+        floor of ``ness_rates``: roundoff in dN times mu.
+        """
+        rhos = np.linspace(-0.49, 1.49, 61)  # C04's scan
+        rho = float(rhos[np.argmin(np.abs(rhos - rho))])
+        bundle = build_bundle(fixed_config(0.4, 1.0, _rho_to_mu(rho), lam, 1.0))
+        assert bundle.frame == frame
+        report = bundle.report()
+        assert report.frame == frame
+        assert_conservation_laws(report)
+
+    @pytest.mark.parametrize("tau", [1.0, 20.0])
+    @pytest.mark.parametrize("mu", [-3.0, -2.0, 0.0, 1.0])
+    def test_frames_agree(self, tau, mu):
+        """Both frames give the same report to 3e-13 of its largest rate."""
+        bundle = build_bundle(apply_axis(engine_config(tau=tau), "mu", mu))
+        assert bundle.frame == (HOLE if mu >= 0 else PARTICLE)
+        other = bundle_in_frame(bundle, PARTICLE if bundle.frame == HOLE else HOLE)
+        got, want = _rates(other.report()), _rates(bundle.report())
+        assert np.max(np.abs(got - want)) <= 3e-13 * np.max(np.abs(want))
+
+    def test_hole_frame_trajectory_returns_particle_states(self):
+        cfg = apply_axis(engine_config(), "mu", 1.0)
+        bundle = build_bundle(cfg)
+        assert bundle.frame == HOLE
+        traj, steps, report = run_trajectory(cfg, 60)
+        assert report.frame == HOLE
+        assert np.max(np.abs(traj.states[0])) == 0.0  # the empty system
+        c_ness = in_frame(bundle.solve_ness(), HOLE)
+        assert traj.dist_to_ness[-1] < 1e-8
+        assert np.max(np.abs(traj.states[-1] - c_ness)) < 1e-8
+        for st in steps:
+            assert st.first_law_defect < 1e-12 and st.sigma > -1e-12
+            assert abs(st.dn_s + st.dn[0] + st.dn[1]) < 1e-12
+        # the first cycle fills the empty system: its particle number grows
+        assert steps[0].dn_s > 0

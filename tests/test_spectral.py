@@ -1,9 +1,14 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_max_ulp
+from scipy.special import expit
 
+import preb
 from conftest import write_spectral_table
 from preb.spectral import (BathThermalSpec, SpectralFunction, fermi_occupation,
                            frequency_grid, hilbert_transform, read_spectral_table)
@@ -101,6 +106,40 @@ class TestFermiOccupation:
             assert fermi_occupation(spec, 10.0) == 0.0
             assert fermi_occupation(spec, -10.0) == 1.0
 
+    def test_matches_the_logistic_of_scipy(self):
+        """f(x) = expit(-x) with x = beta (w - mu), and the hole factor expit(x).
+
+        Both compute 1 / (1 + e^y), where numpy's and libm's exp differ in the
+        last bit of about one value in twenty; the results then stay within
+        2 ulp.  Only where e^y lies in [2**53, 2**54) does 1 + e^y round to
+        even, so a 1-ulp change of e^y moves it by 2 or 4 of its own ulp, and
+        the result by up to 4.  The extremes, past the overflow of e^y at
+        709.78 and at infinity, agree exactly and raise no warning.
+        """
+        spec = BathThermalSpec(1.0, 0.0)
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.normal(0.0, 30.0, 20000), rng.uniform(-745.0, 745.0, 20000),
+                            rng.uniform(36.0, 38.0, 20000), rng.uniform(-38.0, -36.0, 20000)])
+        rounds = (np.abs(x) >= 53 * math.log(2.0)) & (np.abs(x) < 54 * math.log(2.0))
+        for got, want in ((fermi_occupation(spec, x), expit(-x)),
+                          (fermi_occupation(spec, x, hole=True), expit(x))):
+            assert_array_max_ulp(got[~rounds], want[~rounds], maxulp=2)
+            assert_array_max_ulp(got[rounds], want[rounds], maxulp=4)
+        extremes = np.array([709.8, -709.8, 1e308, -1e308, np.inf, -np.inf, 0.0])
+        for hole, sign in ((False, -1.0), (True, 1.0)):
+            assert np.array_equal(fermi_occupation(spec, extremes, hole=hole),
+                                  expit(sign * extremes))
+        assert fermi_occupation(BathThermalSpec(4.0, -1.0), 1e308) == 0.0  # beta x overflows
+
+    def test_hole_factor_is_the_complement(self):
+        spec = BathThermalSpec(0.7, 0.4)
+        w = np.linspace(-30.0, 30.0, 201)
+        f, holes = fermi_occupation(spec, w), fermi_occupation(spec, w, hole=True)
+        assert np.max(np.abs(f + holes - 1.0)) <= 2.0 ** -52
+        # deep below mu a hole factor keeps its relative precision, where 1 - f is 0
+        assert fermi_occupation(spec, -100.0, hole=True) == pytest.approx(math.exp(-0.7 * 100.4))
+        assert 1.0 - fermi_occupation(spec, -100.0) == 0.0
+
     def test_vectorized_and_bounded(self):
         spec = BathThermalSpec(3.7, 0.3)
         f = fermi_occupation(spec, np.linspace(-50, 50, 101))
@@ -158,3 +197,12 @@ def test_bath_thermal_spec_validation():
         BathThermalSpec(0.0, 0.0)
     with pytest.raises(ValueError):
         BathThermalSpec(1.0, math.inf)
+
+
+def test_import_loads_no_scipy():
+    """A fresh ``import preb`` loads no scipy module: only a new set-up's eigensolver needs one."""
+    src = Path(preb.__file__).resolve().parent.parent
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import preb; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

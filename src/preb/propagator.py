@@ -10,14 +10,13 @@ solves the discrete-time Lyapunov equation C - G_S^dag C G_S = P_S, which has
 a unique solution iff every eigenvalue of G_S lies strictly inside the unit
 circle.
 
-A thermal chain enters only through the Fermi factors f_l of its eigenmodes,
-so P_S and every per-cycle bath quantity are linear in the f_l with
-coefficients fixed by the set-up.  ``cycle_map`` reduces U to those
-coefficients once per set-up, O(l_b) numbers in a read-only ``CycleMap``; U
-and every eigenvector are freed when it returns.  U itself is formed in real
-arithmetic from the set-up's tridiagonal eigensystem, in the set-up's path
-order, and its unitarity is checked on the orthonormality of the
-eigenvectors; the reduction then takes one chain at a time.
+The cycle is worked out in the star basis: the two system sites, and each
+chain rotated into its eigenmodes, where a thermal chain is diag(f_l).  So
+P_S and every per-cycle bath quantity are linear in the f_l, and with
+U = 1 + D each coefficient is a short sum over D, never a difference of two
+O(1) numbers, however short the cycle.  ``cycle_map`` reduces D to them once
+per set-up, O(l_b) numbers in a read-only ``CycleMap``; D and every
+eigenvector are freed when it returns.
 
 A point that changes only temperatures or chemical potentials applies new
 Fermi factors to the same ``CycleMap``: P_S is two vector-matrix products and
@@ -47,25 +46,24 @@ CYCLE_COLUMNS = ("dn1", "dn2", "dh_b1", "dh_b2", "dh_sb1", "dh_sb2")
 class CycleMap:
     """Everything one cycle of a set-up does, as linear maps of C_S and of the Fermi factors.
 
-    S is the two-site system, and chain l is linked to its site l.  With V_l
-    the eigenbasis of chain l and Y_l = V_l^T U[B_l, :], a cycle takes
-    the initial state diag(C_S, V_1 f_1 V_1^T, V_2 f_2 V_2^T) to
+    S is the two-site system, and chain l is linked to its site l.  In the
+    star basis (chain 1's eigenmodes, s0, s1, chain 2's eigenmodes) U is
+    1 + D, and a cycle takes the initial state diag(f_1, C_S, f_2) to
 
-        ct = U[S, :]^dag C_S U[S, :] + sum_l Y_l^dag diag(f_l) Y_l.
+        ct = (1 + D)^dag diag(f_1, C_S, f_2) (1 + D).
 
-    Only the pieces a point reads are kept, never U or Y itself:
+    Only the pieces a point reads are kept, never D itself:
 
-    - ``h_s`` and ``g_s`` = U[S, S], the system Hamiltonian and propagator block;
+    - ``h_s`` and ``g_s`` = 1 + D[S, S], the system Hamiltonian and propagator block;
     - ``energies[l]``, chain l's mode energies, where its Fermi factors f_l are taken;
     - ``drive[l]``, complex (l_b, 4): row k holds the products
-      conj(Y_l[k, i]) Y_l[k, j] over the system sites (i, j) in row-major
-      order, so P_S = sum_l f_l @ drive[l], reshaped to 2 x 2;
+      conj(D[k, i]) D[k, j] of chain l's mode k over the system sites (i, j)
+      in row-major order, so P_S = sum_l f_l @ drive[l], reshaped to 2 x 2;
     - ``bath[l]``, real (l_b, 6): entry x of ``f_l @ bath[l]`` is what chain l
-      contributes to the change of ``CYCLE_COLUMNS[x]``; chain l's own values
-      before the cycle (its particle number and energy) are already subtracted;
+      contributes to the change of ``CYCLE_COLUMNS[x]``;
     - ``system``, complex (4, 6): the system's contribution is
       Re(C_S.ravel() @ system) for a Hermitian C_S;
-    - ``unitarity_defect`` of U from ``step_propagator``, and the
+    - ``unitarity_defect`` from ``step_propagator``, and the
       ``spectral_radius`` of G_S with the approach ``rate`` from
       ``stability_rate``; a point's stability check reads the stored radius.
 
@@ -96,14 +94,16 @@ class CycleMap:
 
 
 def step_propagator(setup: SetupHamiltonian, tau: float) -> tuple[np.ndarray, float]:
-    """U = exp(-i H tau) from the set-up's cached eigendecomposition, and its unitarity defect.
+    """D = U - 1 in the star basis, for U = exp(-i H tau), and U's unitarity defect.
 
-    With H = V diag(E) V^T, U = (V cos E tau) V^T - i (V sin E tau) V^T, two
-    real products.  U is unitary to roundoff when V is orthogonal, so the
-    defect is max|V^T V - I|.  A phase E tau is known only to its float64
-    spacing, |E tau| 2**-52; once that exceeds ``UNITARITY_TOL`` at the largest
-    |E|, U carries no trustworthy phase, and the set-up is refused as a
-    numerical failure.
+    With H = V diag(E) V^T and Z the rows of V in the star basis (each
+    chain's block rotated by its eigenvectors), D = Z diag(expm1(-i E tau)) Z^T:
+    Re D = -2 (Z sin(E tau/2)) (Z sin(E tau/2))^T and Im D = -(Z sin E tau) Z^T.
+    The defect is max|V^T V - I|; one Newton step V - V (V^T V - I) / 2
+    leaves only its square in D.  A phase E tau is known only to its float64
+    spacing, |E tau| 2**-52; once that exceeds ``UNITARITY_TOL`` at the
+    largest |E|, D carries no trustworthy phase, and the set-up is refused as
+    a numerical failure.
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
@@ -113,80 +113,78 @@ def step_propagator(setup: SetupHamiltonian, tau: float) -> tuple[np.ndarray, fl
         raise NumericsError(f"the largest phase max|E| tau = {phase:.3g} is too large: its "
                             f"float64 spacing exceeds the unitarity tolerance {UNITARITY_TOL:g}")
     overlap = modes.T @ modes
-    n = overlap.shape[0]
+    n, l_b = overlap.shape[0], setup.l_b
     overlap.flat[::n + 1] -= 1.0
     defect = float(np.max(np.abs(overlap)))
-    del overlap  # n^2 floats, freed before U takes 2 n^2
     if not defect <= UNITARITY_TOL:
         raise NumericsError(f"propagator lost unitarity: defect {defect:.3e}")
-    u = np.empty((n, n), dtype=complex)
-    u.real = (modes * np.cos(energies * tau)) @ modes.T
-    u.imag = (modes * -np.sin(energies * tau)) @ modes.T
-    return u, defect
+    # V (V^T V - I) is at most UNITARITY_TOL of V: float32 carries it below float64 roundoff
+    z = (modes.astype(np.float32) @ overlap.astype(np.float32)).astype(float)
+    z *= -0.5
+    z += modes
+    del overlap
+    (_, phi1), (_, phi2) = setup.chain_eigensystems
+    z[:l_b] = phi1[::-1].T @ z[:l_b]
+    z[l_b + 2:] = phi2.T @ z[l_b + 2:]
+    zs = z * np.sin(0.5 * tau * energies)
+    re = zs @ zs.T
+    re *= -2.0
+    np.multiply(z, -np.sin(tau * energies), out=zs)
+    im = zs @ z.T
+    del z, zs  # D's 2 n^2 floats replace them: the peak is 5 n^2, V included
+    d = np.empty((n, n), dtype=complex)
+    d.real, d.imag = re, im
+    return d, defect
 
 
 def cycle_map(setup: SetupHamiltonian, tau: float) -> CycleMap:
-    """The set-up's ``CycleMap`` for cycles of length ``tau``; U lives only in here."""
-    u, defect = step_propagator(setup, tau)
-    s = setup.system
-    g_s = u[s, s].copy()
+    """The set-up's ``CycleMap`` for cycles of length ``tau``; D lives only in here."""
+    d, defect = step_propagator(setup, tau)
+    g_s = np.eye(2) + d[setup.system, setup.system]
     radius, rate = stability_rate(g_s, tau)
-    drive, bath, system = _cycle_operators(setup, u)
+    drive, bath, system = _cycle_operators(setup, d)
     return CycleMap(tau=tau, h_s=np.array([[0.0, setup.g], [setup.g, 0.0]]), g_s=g_s,
                     energies=tuple(e.copy() for e, _ in setup.chain_eigensystems),
                     drive=drive, bath=bath, system=system, unitarity_defect=defect,
                     spectral_radius=radius, rate=rate)
 
 
-def _cycle_operators(setup: SetupHamiltonian, u: np.ndarray):
-    """(drive, bath, system) of ``CycleMap``, each a copy that holds no part of U.
+def _cycle_operators(setup: SetupHamiltonian, d: np.ndarray):
+    """(drive, bath, system) of ``CycleMap``, read off D.
 
-    U is in the set-up's path order, along which every weight below is a site
-    or a bond of the tridiagonal matrix.  The chains are reduced one at a
-    time, so no temporary is larger than l_b x 2n floats.
+    Star mode q of chain m weighs 1 in chain m's particle number and e_q in
+    its energy, and couples to system site m with c_mq = hop_m[0] Phi_m[0, q].
+    So mode k of chain l changes chain m's particle number by
+    2 Re D_kk [l = m] + sum_{q in m} |D_kq|^2, its energy by the same sums
+    weighted with e, and its coupling energy by
+    2 Re[conj(D_k,s_m) (c_mk [l = m] + sum_q c_mq D_kq)].
     """
-    l_b, n = setup.l_b, setup.n_sites
-    d, e = setup.diagonal, setup.off_diagonal
-    # Each quantity x of CYCLE_COLUMNS reads the evolved state ct along the path
-    # as sum_p site[p, x] ct[p, p] + sum_p bond[p, x] Re ct[p, p + 1]: the sites
-    # of chain l weigh 1 in its particle number and their on-site energy in its
-    # energy, the bonds inside chain l weigh twice their hopping in its energy,
-    # and the bond of chain l's head to system site l twice its hopping in
-    # chain l's coupling energy; the system's own bond weighs nothing.
-    sites = (slice(0, l_b), slice(l_b + 2, n))
-    bonds = (slice(0, l_b - 1), slice(l_b + 2, n - 1))
-    links = (l_b - 1, l_b + 1)
-    site = np.zeros((n, len(CYCLE_COLUMNS)))
-    bond = np.zeros((n - 1, len(CYCLE_COLUMNS)))
-    for m in range(2):
-        site[sites[m], m] = 1.0
-        site[sites[m], 2 + m] = d[sites[m]]
-        bond[bonds[m], 2 + m] = 2.0 * e[bonds[m]]
-        bond[links[m], 4 + m] = 2.0 * e[links[m]]
+    l_b, n, s = setup.l_b, setup.n_sites, setup.system
+    chains = (slice(0, l_b), slice(l_b + 2, n))
+    weight = np.zeros((n, 4))  # columns dn1, dn2, dh_b1, dh_b2 of CYCLE_COLUMNS
+    coupling = np.zeros((n, 2))
+    for m, ((e, phi), (_, hop)) in enumerate(zip(setup.chain_eigensystems, setup.chains)):
+        weight[chains[m], m] = 1.0
+        weight[chains[m], 2 + m] = e
+        coupling[chains[m], m] = hop[0] * phi[0]
+    abs2 = np.square(d.real)
+    abs2 += np.square(d.imag)
+    reach = d @ coupling  # row k: sum_q c_mq D_kq
+    link = d[:, s]        # row k: D_k,s_m
+    rows = np.empty((n, 6))
+    rows[:, :4] = abs2 @ weight + 2.0 * d.diagonal().real[:, None] * weight
+    rows[:, 4:] = 2.0 * (link.conj() * (coupling + reach)).real
+    pairs = (link.conj()[:, :, None] * link[:, None, :]).reshape(n, 4)
+    drive = tuple(pairs[b].copy() for b in chains)
+    bath = tuple(rows[b].copy() for b in chains)
 
-    # source: the system, whose state enters as a full matrix
-    z = u[setup.system]
-    left = np.concatenate([z, z[:, :-1]], axis=1).conj()
-    right = np.concatenate([z, z[:, 1:]], axis=1)
-    system = (left[:, None] * right[None]).reshape(4, -1) @ np.concatenate([site, bond])
-
-    # source: each chain's eigenmodes, mode k occupied with its own f_k
-    drive, bath = [], []
-    site2, bond2 = np.repeat(site, 2, axis=0), np.repeat(bond, 2, axis=0)
-    for m, (_, modes) in enumerate(setup.chain_eigensystems):
-        vt = (modes[::-1] if m == 0 else modes).T  # row k: mode k along the path
-        # Y_m = V_m^T U[B_m, :] on the float view of U, where real and imaginary
-        # parts alternate: squares sum to |y_p|^2, and products two floats
-        # apart to Re(conj(y_p) y_p+1)
-        y = vt @ u[sites[m]].view(float)
-        after = (y * y) @ site2 + (y[:, :-2] * y[:, 2:]) @ bond2
-        # less the chain's own particle number and energy before the cycle, from
-        # the modes as computed, so that C_B = V diag(f) V^T is the state evolved
-        before = (vt * vt) @ site[sites[m]] + (vt[:, :-1] * vt[:, 1:]) @ bond[bonds[m]]
-        bath.append(after - before)
-        ys = y.view(complex)[:, setup.system]
-        drive.append((ys.conj()[:, :, None] * ys[:, None, :]).reshape(l_b, 4))
-    return tuple(drive), tuple(bath), system
+    # the system rows: sums of conj(U[s_i, q]) U[s_j, q], with U[s_i, q] = D[s_i, q]
+    # off the system; the coupling term is 2 conj(U[s_i, s_m]) sum_q c_mq D[s_j, q]
+    d_s = d[s]
+    system = np.empty((2, 2, 6), dtype=complex)
+    system[..., :4] = (d_s.conj()[:, None, :] * d_s[None, :, :]) @ weight
+    system[..., 4:] = 2.0 * (np.eye(2) + link[s]).conj()[:, None, :] * reach[s][None, :, :]
+    return drive, bath, system.reshape(4, 6)
 
 
 def drive_matrix(cycle: CycleMap, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:

@@ -92,6 +92,16 @@ def dense_hamiltonian(setup) -> np.ndarray:
     return h
 
 
+def dense_propagator(setup, tau) -> np.ndarray:
+    """U = exp(-i H tau) of the dense set-up matrix, in its path order.
+
+    The reference for the set-up's cycle: a dense ``eigh`` of
+    ``dense_hamiltonian``, so no part of it comes from ``preb.propagator``.
+    """
+    energies, modes = np.linalg.eigh(dense_hamiltonian(setup))
+    return (modes * np.exp(-1j * tau * energies)) @ modes.T
+
+
 def bundle_in_frame(bundle, frame):
     """``bundle`` with its occupations, drive matrix and frame moved to ``frame``."""
     occupations = tuple(fermi_occupation(spec, energies, hole=frame == HOLE)

@@ -4,14 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import engine_config, fixed_config
+from conftest import dense_propagator, engine_config, fixed_config
 from preb.builder import assemble_hamiltonian
 from preb.chainmap import ChainCoefficients, chain_map_tridiag
 from preb.errors import NumericsError
 from preb.negf import (LeadSelfEnergy, _resolvent_abs2, landauer_currents,
                        transmission_table)
 from preb.pipeline import run_negf, run_ness
-from preb.propagator import step_propagator
 from preb.spectral import BathThermalSpec, SpectralFunction, fermi_occupation
 
 LEAD1 = SpectralFunction.lorentzian(2.0, 1.0, 2.0, 6.0)
@@ -53,7 +52,7 @@ class TestSelfEnergy:
         ghost = ChainCoefficients(eps=np.zeros(40), hop=np.full(40, 1e-300))
         setup = assemble_hamiltonian(0.0, [chain, ghost], 40)
         t = 4.0
-        u, _ = step_propagator(setup, t)
+        u = dense_propagator(setup, t)
         s0 = setup.system.start
         survival = abs(u[s0, s0]) ** 2
         assert survival == pytest.approx(np.exp(-height * t), rel=0.05)

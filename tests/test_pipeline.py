@@ -288,3 +288,23 @@ class TestFrame:
             assert abs(st.dn_s + st.dn[0] + st.dn[1]) < 1e-12
         # the first cycle fills the empty system: its particle number grows
         assert steps[0].dn_s > 0
+
+
+class TestShortCycles:
+    """The laws hold towards the Zeno regime, where every per-cycle change is O(tau^2)."""
+
+    @pytest.mark.parametrize("tau", [1e-2, 1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("lam", [0.05, 1.0])
+    def test_conservation_laws(self, lam, tau):
+        """First law to 1.62e-12 of the largest rate, particles to 2.62e-5 of the larger current.
+
+        Each bound is 3 times the worst measured over these eight points.  The
+        particle currents, O(tau) each, cancel only to the fixed point's
+        absolute roundoff divided by tau.
+        """
+        rep = run_ness(engine_config(lam=lam, tau=tau))
+        scale = max(abs(rep.qdot[0]), abs(rep.qdot[1]), abs(rep.p_ext), abs(rep.p_chem),
+                    abs(rep.hdot_b[0]), abs(rep.hdot_b[1]))
+        assert abs(rep.p - rep.qdot[0] - rep.qdot[1]) <= 1.62e-12 * scale
+        current = max(abs(rep.ndot[0]), abs(rep.ndot[1]))
+        assert abs(rep.ndot[0] + rep.ndot[1]) <= 2.62e-5 * current

@@ -3,57 +3,61 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import bundle_setup, decoupled_bundle_pieces, dense_hamiltonian
+from conftest import bundle_setup, decoupled_bundle_pieces, dense_hamiltonian, dense_propagator
 from preb.builder import SetupHamiltonian
 from preb.errors import NoUniqueNessError, NumericsError
 from preb.propagator import (_lyapunov_operator, cycle_map, drive_matrix, solve_dlyap_direct,
                              solve_dlyap_doubling, stability_rate, step_propagator)
 
 
+def star_basis(setup) -> np.ndarray:
+    """W, with W[k, p] the amplitude of path site p in star mode k.
+
+    Chain 1's modes come first, then s0 and s1 at ``setup.system``, then
+    chain 2's modes, each chain's in the order of its energies.
+    """
+    n, l_b = setup.n_sites, setup.l_b
+    sites = np.arange(n)
+    w = np.zeros((n, n))
+    w[setup.system, setup.system] = np.eye(2)
+    for rows, b, (_, phi) in zip((slice(0, l_b), slice(l_b + 2, n)),
+                                 (setup.bath1, setup.bath2), setup.chain_eigensystems):
+        w[rows, sites[b]] = phi.T
+    return w
+
+
 class TestStepPropagator:
     def test_zero_time_is_identity(self, engine_bundle):
-        setup = bundle_setup(engine_bundle)
-        u, _ = step_propagator(setup, 0.0)
-        assert_allclose(u, np.eye(setup.n_sites), atol=1e-14)
+        d, _ = step_propagator(bundle_setup(engine_bundle), 0.0)
+        assert np.all(d == 0.0)
 
     def test_diagonal_hamiltonian(self):
-        """No hopping anywhere: U is the diagonal of phases exp(-i e tau)."""
+        """No hopping anywhere: D is the diagonal expm1(-i e tau) in star order."""
         chain = (np.array([0.3, -0.5, 1.1]), np.zeros(3))
         setup = SetupHamiltonian(0.0, (chain, chain))
-        d = setup.diagonal
-        assert_array_equal(d, [1.1, -0.5, 0.3, 0.0, 0.0, 0.3, -0.5, 1.1])
-        u, _ = step_propagator(setup, 0.7)
-        assert_allclose(np.diag(u), np.exp(-1j * d * 0.7), atol=1e-14)
-        assert_allclose(u - np.diag(np.diag(u)), 0.0, atol=1e-14)
+        d, _ = step_propagator(setup, 0.7)
+        star = np.array([-0.5, 0.3, 1.1, 0.0, 0.0, -0.5, 0.3, 1.1])
+        assert_allclose(np.diag(d), np.expm1(-1j * star * 0.7), rtol=1e-14, atol=0)
+        assert np.all(d - np.diag(np.diag(d)) == 0.0)
 
     def test_group_property(self, engine_bundle):
+        """(1 + D_1)(1 + D_2) = 1 + D_12 for cycles t1, t2 and t1 + t2."""
         rng = np.random.default_rng(5)
         setup = bundle_setup(engine_bundle)
+        one = np.eye(setup.n_sites)
         for _ in range(3):
             t1, t2 = rng.uniform(0.1, 3.0, size=2)
-            u1, _ = step_propagator(setup, t1)
-            u2, _ = step_propagator(setup, t2)
-            u12, _ = step_propagator(setup, t1 + t2)
-            assert np.max(np.abs(u1 @ u2 - u12)) < 1e-10
+            d1, _ = step_propagator(setup, t1)
+            d2, _ = step_propagator(setup, t2)
+            d12, _ = step_propagator(setup, t1 + t2)
+            assert np.max(np.abs((one + d1) @ (one + d2) - (one + d12))) < 1e-10
 
     def test_unitarity_at_long_times(self, broad_bundle):
-        _, defect = step_propagator(bundle_setup(broad_bundle), 20.0)
+        setup = bundle_setup(broad_bundle)
+        d, defect = step_propagator(setup, 20.0)
         assert defect < 1e-10
-
-    def test_blocks_tile_the_propagator(self, engine_bundle):
-        """The index map's blocks tile U, in the block order system | chain 1 | chain 2."""
-        setup = bundle_setup(engine_bundle)
-        u, _ = step_propagator(setup, engine_bundle.cycle.tau)
-        s, b1, b2 = setup.system, setup.bath1, setup.bath2
-        rebuilt = np.block([
-            [u[s, s], u[s, b1], u[s, b2]],
-            [u[b1, s], u[b1, b1], u[b1, b2]],
-            [u[b2, s], u[b2, b1], u[b2, b2]],
-        ])
-        sites = np.arange(setup.n_sites)
-        order = np.concatenate([sites[s], sites[b1], sites[b2]])
-        assert_array_equal(np.sort(order), sites)
-        assert np.max(np.abs(rebuilt - u[np.ix_(order, order)])) == 0.0
+        u = np.eye(setup.n_sites) + d
+        assert np.max(np.abs(u.conj().T @ u - np.eye(setup.n_sites))) < 1e-13
 
     def test_corrupted_eigensystem_is_rejected(self):
         """A cached eigensystem whose modes are no longer orthonormal gives a non-unitary U."""
@@ -63,6 +67,8 @@ class TestStepPropagator:
         setup.__dict__["eigensystem"] = (energies, modes)  # what the cached property holds
         with pytest.raises(NumericsError, match="lost unitarity"):
             step_propagator(setup, 1.0)
+        with pytest.raises(NumericsError, match="lost unitarity"):
+            cycle_map(setup, 1.0)
 
     def test_nan_in_the_modes_is_rejected(self):
         """A NaN defect fails the unitarity check, before the set-up reaches an eigensolver."""
@@ -76,13 +82,15 @@ class TestStepPropagator:
             cycle_map(setup, 1.0)
 
     def test_real_arithmetic_matches_the_complex_exponential(self, engine_bundle):
+        """1 + D is W U W^T for the dense U = exp(-i H tau) and the star basis W."""
         setup = bundle_setup(engine_bundle)
-        energies, modes = setup.eigensystem
-        u, defect = step_propagator(setup, 1.3)
-        dense = (modes * np.exp(-1j * energies * 1.3)) @ modes.T
-        assert np.max(np.abs(u - dense)) < 1e-14
-        identity = np.eye(setup.n_sites)
-        assert defect == np.max(np.abs(modes.T @ modes - identity))
+        _, modes = setup.eigensystem
+        w, one = star_basis(setup), np.eye(setup.n_sites)
+        for tau in (1e-5, 1.3, 20.0):
+            d, defect = step_propagator(setup, tau)
+            u = w @ dense_propagator(setup, tau) @ w.T
+            assert np.max(np.abs(one + d - u)) < 1e-14
+            assert defect == np.max(np.abs(modes.T @ modes - one))
 
 
 class TestDriveMatrix:
@@ -110,7 +118,7 @@ class TestDriveMatrix:
     def test_matches_the_dense_sum_over_chain_modes(self, engine_bundle):
         """P_S = sum_l A_l^dag diag(f_l) A_l with A_l = V_l^T U[B_l, S], formed densely."""
         setup = bundle_setup(engine_bundle)
-        u, _ = step_propagator(setup, engine_bundle.cycle.tau)
+        u = dense_propagator(setup, engine_bundle.cycle.tau)
         rng = np.random.default_rng(3)
         for f1, f2 in [engine_bundle.occupations, rng.random((2, engine_bundle.l_b))]:
             dense = 0

@@ -113,11 +113,11 @@ def chain_length_for_tau(g_b: float, tau: float, l_0: int) -> int:
 
 def assemble_hamiltonian(g: float, chains: Sequence[ChainCoefficients],
                          l_b: int) -> SetupHamiltonian:
-    """The set-up of the dimer with hopping ``g`` and two chains, each cut or padded to ``l_b``.
+    """The set-up of the dimer with hopping ``g`` and two chains, each cut to ``l_b`` sites.
 
-    Chains shorter than ``l_b`` are padded with their asymptotic coefficients.
+    A chain shorter than ``l_b`` raises ``ValueError``: chains are never padded.
     """
-    return SetupHamiltonian(g, tuple(chain.padded(l_b) for chain in chains))
+    return SetupHamiltonian(g, tuple(chain.cut(l_b) for chain in chains))
 
 
 def thermal_correlation(h_b: np.ndarray, spec: BathThermalSpec) -> np.ndarray:

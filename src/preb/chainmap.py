@@ -1,37 +1,51 @@
 """Map a bath spectral function onto nearest-neighbour tight-binding chain coefficients.
 
-Two routes are provided.  ``chain_map_recursion`` iterates the moment
-recursion directly on a frequency grid:
+The chain is the orthogonal-polynomial chain of Chin, Rivas, Huelga & Plenio
+(J. Math. Phys. 51, 092109 (2010)): its on-site energies and hoppings are the
+recurrence coefficients of the monic polynomials orthogonal under the measure
+J(w) dw / 2pi, and its first hopping g_0 = sqrt((1/2pi) int J) is the
+system-chain coupling.
+
+``chain_map_tridiag`` is the production route.  It maps the support of J onto
+[-1, 1], takes the Chebyshev moments m_k = (1/2pi) int T_k J there, and runs
+the modified Chebyshev algorithm on them (Sack & Donovan, Numer. Math. 18, 465
+(1972); Gautschi, SIAM J. Sci. Stat. Comput. 3, 289 (1982)): O(depth^2)
+operations, with no discretization of the bath and no Krylov basis.  The
+level-k coefficients use only the moments below 2k + 2, so a map cut to n
+sites is the depth-n map.  The moments are
+
+- flat: exact, m_k = (kappa D / 2pi) int T_k;
+- Lorentzian: m_k = (kappa / 2pi) Im q_k with q_k = int T_k(x) / (x - z) dx and
+  z = (omega0 + i lam) / D.  The forward recurrence
+  q_{k+1} = 2 z q_k - q_{k-1} + 2 int T_k amplifies roundoff by about
+  rho^k, rho = |z + sqrt(z^2 - 1)|, so it runs only while
+  rho^(2 depth) 2^-52 stays below ``FORWARD_TOLERANCE``; wider peaks take
+  Clenshaw-Curtis quadrature of J, whose weights and moments are two FFTs;
+- tabulated (piecewise-linear J): exact.  Integrating twice by parts leaves
+  the slope jumps of J times a second antiderivative of T_k, cell by cell.
+  Moments over a span with a gap in J amplify roundoff by about 2^depth, so
+  each band of the table (a run of cells that carry weight) is mapped on
+  its own span, and the band chains are merged.
+
+Two oracles stay for the tests and criterion C09: ``chain_map_recursion``
+iterates the moment recursion on a frequency grid,
 
     g_p^2     = (1/2pi) int J_p(w) dw
     eps_{p+1} = (1/(2pi g_p^2)) int w J_p(w) dw
     J_{p+1}   = 4 g_p^2 J_p / (J_p^H^2 + J_p^2)
 
-with J^H the principal-value Hilbert transform.  The recursion is exact but
-ill-conditioned at depth, so it serves as the cross-check oracle and
-``chain_map_tridiag`` is the production path: it discretizes the bath into
-modes with exact cell weights and tridiagonalizes by a Lanczos recurrence
-(Chin, Rivas, Huelga & Plenio, J. Math. Phys. 51, 092109 (2010)).  For the
-diagonal mode matrix the plain three-term recurrence is the discrete Stieltjes
-procedure in vector form (Gautschi, Orthogonal Polynomials, OUP 2004, 2.2),
-O(N) per step, and with many modes per site its basis stays orthogonal to
-near roundoff.  A basis whose overlaps stay below sqrt(eps) already gives the
-coefficients of a fully reorthogonalized run to working precision (Simon,
-Math. Comp. 42, 115 (1984)).  So the plain pass is certified afterwards by
-one Gram product of its basis; only from the first row that fails does the
-recurrence resume with block classical Gram-Schmidt applied twice (CGS2), as
-BLAS matrix-vector products against the whole basis, which keeps it
-orthogonal to working precision (Giraud, Langou & Rozloznik, Comput. Math.
-Appl. 50, 1069 (2005)).  Both routes produce identical coefficients in the
-continuum limit.
-
-Normalization note: the total squared coupling of the discretized bath equals
-(1/2pi) int J, i.e. the first hopping g_0 is the physical system-chain
-coupling of the recursion above.
+with J^H the principal-value Hilbert transform, exact but ill-conditioned at
+depth; and ``discretize_modes`` with ``star_to_chain`` tridiagonalizes a
+discretized bath by a Lanczos recurrence, the discrete Stieltjes procedure
+(Gautschi, Orthogonal Polynomials, OUP 2004, 2.2), certified by one Gram
+product and resumed with classical Gram-Schmidt applied twice (CGS2) from the
+first row that leaks (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50,
+1069 (2005)).  All three routes give the same chain in the continuum limit.
 """
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass, field
@@ -40,14 +54,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericsError
-from .spectral import (LORENTZIAN, SpectralFunction, SpectralTable, frequency_grid,
+from .spectral import (FLAT, LORENTZIAN, SpectralFunction, SpectralTable, frequency_grid,
                        hilbert_transform)
 
 log = logging.getLogger(__name__)
 
 TAIL_TOLERANCE = 0.05
-MIN_MODES_PER_SITE = 50
 RECURSION_G2_FLOOR = 1e-12  # the moment recursion stops at this squared hopping
+FORWARD_TOLERANCE = 1e-13   # bound on rho^(2 depth) 2^-52 for the forward q_k recurrence
+QUADRATURE_DIGITS = 45.0    # Clenshaw-Curtis nodes past 2 depth: this many e-folds of rho
+TABLE_BLOCK = 1 << 16       # cosines per block of the tabulated moments
+MAX_MERGED_SITES = 2048     # bound on the star that merges a table's bands
 
 
 def _tail_stats(eps: np.ndarray, hop: np.ndarray) -> tuple[float, float, float]:
@@ -67,10 +84,11 @@ class ChainCoefficients:
     ``eps[p-1]`` is the energy of chain site p (p = 1..depth); ``hop[0]`` is the
     system-chain coupling g_0 and ``hop[p]`` connects sites p and p+1.  The
     asymptotic pair (eps_asym, hop_asym) is the tail average, computed from the
-    arrays, so ``dataclasses.replace`` recomputes it too; ``residual`` holds
-    the spectral function left over at the truncation depth when the producing
-    route provides one.  The coefficient arrays are read-only copies, so a
-    cached chain cannot be edited under the set-ups that share it.
+    arrays, so ``dataclasses.replace`` recomputes it too; the pipeline sizes
+    chains from ``hop_asym``.  ``residual`` holds the spectral function left
+    over at the truncation depth when the producing route provides one.  The
+    coefficient arrays are read-only copies, so a cached chain cannot be
+    edited under the set-ups that share it.
     """
 
     eps: np.ndarray
@@ -104,16 +122,224 @@ class ChainCoefficients:
     def tail_converged(self) -> bool:
         return self.tail_deviation < TAIL_TOLERANCE
 
-    def padded(self, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """(eps, hop) arrays of the requested length, padded with the asymptotics."""
-        if length < 1:
-            raise ValueError(f"chain length must be >= 1, got {length}")
-        if length <= self.depth:
-            return self.eps[:length].copy(), self.hop[:length].copy()
-        pad = length - self.depth
-        eps = np.concatenate([self.eps, np.full(pad, self.eps_asym)])
-        hop = np.concatenate([self.hop, np.full(pad, self.hop_asym)])
-        return eps, hop
+    def cut(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """(eps, hop) of the chain's first ``length`` sites, as read-only views."""
+        if not 1 <= length <= self.depth:
+            raise ValueError(f"chain length must be in [1, {self.depth}], got {length}")
+        return self.eps[:length], self.hop[:length]
+
+
+# -- modified Chebyshev moments ------------------------------------------------
+
+
+def chain_map_tridiag(sf: SpectralFunction, depth: int) -> ChainCoefficients:
+    """The bath's first ``depth`` chain sites, from its modified Chebyshev moments.
+
+    The production route (see the module docstring): per band of J, the
+    moments m_k for k < 2 depth, then the modified Chebyshev algorithm, then
+    eps = c + h alpha and hop = (sqrt(m_0), h sqrt(beta_1), ...) with
+    [c - h, c + h] the band.  A table whose J vanishes on whole cells between
+    bands has one chain per band, and those chains are merged.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    bands = [_band_chain(interval, moments, depth)
+             for interval, moments in _chebyshev_moments(sf, 2 * depth)]
+    eps, hop = bands[0] if len(bands) == 1 else _merge_bands(bands)
+    if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(hop)) and np.all(hop > 0)):
+        raise NumericsError(f"chain map of depth {depth} is not finite and positive")
+    return ChainCoefficients(eps=eps, hop=hop)
+
+
+def _chebyshev_moments(sf: SpectralFunction,
+                       count: int) -> list[tuple[tuple[float, float], np.ndarray]]:
+    """Per band [lo, hi] of J, the moments m_k = (1/2pi) int T_k J for k < count.
+
+    T_k is taken on the band mapped onto [-1, 1], and m_0 is the band's weight
+    (1/2pi) int J in closed form.  The band of a flat or Lorentzian J is its
+    support; a table has one band per run of cells that carry weight.
+    """
+    if sf.kind == FLAT:
+        return [(sf.support, sf.kappa * sf.cutoff / (2 * np.pi) * _integrals_of_t(count))]
+    if sf.kind == LORENTZIAN:
+        return [(sf.support, _lorentzian_moments(sf, count))]
+    table = sf.table
+    cells = (table.values[:-1] > 0) | (table.values[1:] > 0)
+    if not cells.any():
+        raise NumericsError("spectral function carries no weight on its support")
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], cells.astype(np.int8), [0]])))
+    return [_table_moments(table.omega[a:b + 1], table.values[a:b + 1], count)
+            for a, b in zip(edges[::2], edges[1::2])]
+
+
+def _band_chain(interval: tuple[float, float], moments: np.ndarray,
+                depth: int) -> tuple[np.ndarray, np.ndarray]:
+    alpha, beta = _modified_chebyshev(moments, depth)
+    center, half = (interval[0] + interval[1]) / 2, (interval[1] - interval[0]) / 2
+    hop = np.sqrt(beta)
+    hop[1:] *= half
+    return center + half * alpha, hop
+
+
+def _merge_bands(bands: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The chain of a sum of measures, from each one's chain of the same depth n.
+
+    The star of one site coupled by hop_c[0] to the head of every band's chain
+    has, at that site, each band's n-point Gauss rule: exact up to degree
+    2n - 1, so its first n chain levels are those of the sum.  They come from
+    a Householder tridiagonalization of the star, which keeps the first site
+    fixed and is backward stable (LAPACK dsytrd).
+    """
+    depth = bands[0][0].size
+    size = 1 + depth * len(bands)
+    if size > MAX_MERGED_SITES:
+        raise NumericsError(f"{len(bands)} separate bands need {size} sites to merge at "
+                            f"depth {depth}, more than {MAX_MERGED_SITES}")
+    star = np.zeros((size, size))
+    for c, (eps, hop) in enumerate(bands):
+        head = 1 + c * depth
+        star[head, 0] = hop[0]
+        sites = np.arange(head, head + depth)
+        star[sites, sites] = eps
+        star[sites[1:], sites[:-1]] = hop[1:]
+    # scipy.linalg is imported here, as in preb.builder, so that ``import preb`` does not load it
+    from scipy.linalg.lapack import dsytrd
+    _, diagonal, off, _, info = dsytrd(star, lower=1)
+    if info != 0:
+        raise NumericsError(f"tridiagonalization of the merged bands failed (info {info})")
+    return diagonal[1:depth + 1], np.abs(off[:depth])
+
+
+def _integrals_of_t(count: int) -> np.ndarray:
+    """int_{-1}^{1} T_k(x) dx = 2 / (1 - k^2) for even k, 0 for odd k; k < count."""
+    out = np.zeros(count)
+    k = np.arange(0, count, 2, dtype=float)
+    out[::2] = 2.0 / (1.0 - k * k)
+    return out
+
+
+def _lorentzian_moments(sf: SpectralFunction, count: int) -> np.ndarray:
+    x0, ell = sf.omega0 / sf.cutoff, sf.lam / sf.cutoff
+    z = complex(x0, ell)
+    # total weight: the angle [-1, 1] subtends at z, with no cancellation
+    weight = sf.kappa / (2 * np.pi) * math.atan2(2 * ell, (x0 - 1) * (x0 + 1) + ell * ell)
+    log_rho = cmath.acosh(z).real
+    if count * log_rho + math.log(2.0 ** -52) > math.log(FORWARD_TOLERANCE):
+        scale = sf.cutoff / (2 * np.pi)
+        nodes = 2 * math.ceil((count + QUADRATURE_DIGITS / log_rho) / 2)
+        moments = _clenshaw_curtis_moments(lambda x: scale * sf(sf.cutoff * x), count, nodes)
+    else:
+        integrals = (2 * _integrals_of_t(count)).tolist()
+        q = [complex(math.log(math.hypot(1 - x0, ell) / math.hypot(1 + x0, ell)),
+                     math.atan2(2 * ell, (x0 - 1) * (x0 + 1) + ell * ell))]
+        q.append(2 + z * q[0])
+        two_z = 2 * z
+        for k in range(1, count - 1):
+            q.append(two_z * q[k] - q[k - 1] + integrals[k])
+        moments = sf.kappa / (2 * np.pi) * np.array(q[:count]).imag
+    moments[0] = weight
+    return moments
+
+
+def _clenshaw_curtis_moments(func, count: int, n: int) -> np.ndarray:
+    """int_{-1}^{1} T_k(x) func(x) dx for k < count, by the (n + 1)-point Clenshaw-Curtis rule.
+
+    The nodes are x_i = cos(pi i / n) with n even, so T_k(x_i) = cos(pi k i / n)
+    and the moments are one DCT-I of weights times samples; the weights are
+    another (Waldvogel, BIT 46, 195 (2006)).  Exact while deg(T_k func) <= n.
+    """
+    j = np.arange(1, n // 2, dtype=float)
+    u = np.zeros(n)
+    u[1:n // 2] = 1.0 / (4 * j * j - 1)
+    u[n // 2 + 1:] = u[n // 2 - 1:0:-1]
+    u[n // 2] = 1.0 / (n * n - 1.0)
+    s = np.fft.fft(u).real
+    weights = (2.0 / n) * (1.0 - np.append(s, s[0]))
+    weights[[0, -1]] /= 2
+    g = weights * func(np.cos(np.pi / n * np.arange(n + 1)))
+    dct = np.fft.rfft(np.concatenate([g, g[-2:0:-1]]))[:count].real
+    sign = np.ones(count)
+    sign[1::2] = -1.0
+    return 0.5 * (dct + g[0] + sign * g[-1])
+
+
+def _table_moments(omega: np.ndarray, values: np.ndarray,
+                   count: int) -> tuple[tuple[float, float], np.ndarray]:
+    """Exact moments of a piecewise-linear J on [omega[0], omega[-1]].
+
+    With A_k'' = T_k, B_k = A_k' and s_i the slope on cell i, two integrations
+    by parts give int J T_k = J(1) B_k(1) - J(-1) B_k(-1) + sum_i d_i A_k(x_i),
+    where d_i is the slope jump at node x_i (s_0 at x = -1, -s_last at x = 1).
+    A_k is a combination of T_{k+2}, T_k and T_{k-2}.
+    """
+    lo, hi = float(omega[0]), float(omega[-1])
+    center, half = (lo + hi) / 2, (hi - lo) / 2
+    x = np.clip((omega - center) / half, -1.0, 1.0)
+    x[[0, -1]] = -1.0, 1.0
+    slope = np.diff(values) / np.diff(x)
+    jumps = np.concatenate([slope[:1], np.diff(slope), -slope[-1:]])
+    where = np.flatnonzero(jumps)
+    theta, jumps = np.arccos(x[where]), jumps[where]
+    size = max(count, 3)
+    order = np.arange(size + 2, dtype=float)
+    sums = np.zeros(size + 2)  # S_j = sum_i d_i T_j(x_i)
+    block = max(1, TABLE_BLOCK // (size + 2))
+    for i in range(0, where.size, block):
+        sums += np.cos(np.outer(order, theta[i:i + block])) @ jumps[i:i + block]
+    k = order[3:size]
+    inner = np.empty(size)  # sum_i d_i A_k(x_i)
+    inner[:3] = sums[2] / 4, sums[3] / 24 - sums[1] / 8, sums[4] / 48 - sums[2] / 6
+    inner[3:] = (sums[5:] / (4 * (k + 1) * (k + 2)) - sums[3:size] / (2 * (k * k - 1))
+                 + sums[1:size - 2] / (4 * (k - 1) * (k - 2)))
+    k = order[2:size]
+    right = np.concatenate([[1.0, 0.25], -1.0 / (k * k - 1)])  # B_k(1)
+    left = -right                                              # B_k(-1)
+    left[1] = 0.25
+    left[3::2] *= -1
+    moments = half / (2 * np.pi) * (inner + values[-1] * right - values[0] * left)[:count]
+    moments[0] = np.trapezoid(values, omega) / (2 * np.pi)
+    return (lo, hi), moments
+
+
+def _modified_chebyshev(moments: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence coefficients alpha_k, beta_k (k < depth) from 2 depth Chebyshev moments.
+
+    Gautschi's mixed moments sigma_{k,l} = int pi_k p_l, with pi_k the monic
+    orthogonal polynomials and p_l = 2^(1-l) T_l the monic Chebyshev ones,
+    kept as s_{k,l} = 2^(k+l) sigma_{k,l}, which stays of order m_0 at any
+    depth.  beta_0 = m_0; a level whose s_{k,k} is not positive raises
+    ``NumericsError``.
+    """
+    n = 2 * depth
+    before = np.zeros(n)
+    row = 2.0 * moments[:n]
+    row[0] = moments[0]
+    nxt = np.empty(n)
+    alpha, beta = np.empty(depth), np.empty(depth)
+    if not (row[0] > 0 and math.isfinite(row[0]) and math.isfinite(row[1])):
+        raise NumericsError("spectral function carries no weight on its support")
+    alpha[0], beta[0] = row[1] / (2 * row[0]), row[0]
+    ratio = 0.0
+    for k in range(1, depth):
+        lo, hi = k, n - k
+        # s_{k,l} = s_{k-1,l+1} - 2 alpha_{k-1} s_{k-1,l} - 4 beta_{k-1} s_{k-2,l} + s_{k-1,l-1}
+        part = nxt[lo:hi]
+        np.multiply(row[lo:hi], -2.0 * alpha[k - 1], out=part)
+        part += row[lo + 1:hi + 1]
+        part += row[lo - 1:hi - 1]
+        if k == 1:
+            part[0] += row[0]  # p_2 = x p_1 - p_0 / 2: the l = 1 weight is twice the others
+        else:
+            part -= ratio * before[lo:hi]
+        diag, cross = float(part[0]), float(part[1])  # s_{k,k}, s_{k,k+1}
+        if not (diag > 0 and math.isfinite(diag) and math.isfinite(cross)):
+            raise NumericsError(f"chain map lost positivity at depth {k}: the moments "
+                                "do not define the measure to this depth")
+        ratio = diag / float(row[k - 1])
+        alpha[k] = (cross / diag - float(row[k]) / float(row[k - 1])) / 2
+        beta[k] = ratio / 4
+        before, row, nxt = row, nxt, before
+    return alpha, beta
 
 
 # -- moment recursion ---------------------------------------------------------
@@ -148,7 +374,7 @@ def chain_map_recursion(sf: SpectralFunction, depth: int) -> ChainCoefficients:
     return cc
 
 
-# -- discretization + Lanczos --------------------------------------------------
+# -- discretization + Lanczos: the tests' oracle ------------------------------
 
 
 def discretize_modes(sf: SpectralFunction, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -283,20 +509,3 @@ def _first_leak(basis: np.ndarray, ortho_tol: float) -> tuple[Optional[int], flo
     if bad.size == 0:
         return None, 0.0
     return int(bad[0]), float(overlaps[bad[0]])
-
-
-def chain_map_tridiag(sf: SpectralFunction, depth: int) -> ChainCoefficients:
-    """Chain coefficients via discretization and Lanczos tridiagonalization.
-
-    Mathematically identical to the moment recursion in the continuum limit,
-    and stable at any depth; this is the production route.  The bath is
-    discretized into ``MIN_MODES_PER_SITE`` modes per chain site, at least 2000.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    freqs, weights = discretize_modes(sf, max(MIN_MODES_PER_SITE * depth, 2000))
-    eps, hop = star_to_chain(freqs, weights, depth)
-    cc = ChainCoefficients(eps=eps, hop=hop)
-    if not cc.tail_converged():
-        log.info("chain tail not settled at depth %d (deviation %.3g)", depth, cc.tail_deviation)
-    return cc

@@ -3,16 +3,19 @@
 Every chain has l_b = ceil(g_B tau) + L_0 sites: the light cone that a cycle
 of length tau reaches at the faster bath's speed g_B, plus the buffer L_0.
 
-The pipeline is deterministic for a fixed configuration, and it keeps two
-process-wide caches, both emptied by ``clear_caches()``:
+The pipeline is deterministic for a fixed configuration and cache state, and
+it keeps two process-wide caches, both emptied by ``clear_caches()``:
 
-- chain maps, per spectral function.  Each bath is mapped once, to the fixed
-  depth ``MAP_DEPTH``, and every set-up cuts or pads that map to its chain
-  length l_b, so a tau sweep maps each bath once.  The entry also holds the
-  bath's light-cone speed g_B, the tail hopping of the map's first
-  ``SIZING_WINDOW`` sites, so sizing a chain is a lookup.  Only a bath whose
-  tail has not settled by ``MAP_DEPTH`` is mapped to l_b > MAP_DEPTH on its
-  own, uncached;
+- chain maps, per spectral function.  A bath is sized from a map of its
+  first ``SIZING_WINDOW`` sites: its light-cone speed g_B is that map's tail
+  hopping.  It is then mapped once to max(l_b, ``MAP_DEPTH``) sites, and every
+  set-up cuts that map to its chain length l_b, so a tau sweep maps each bath
+  once.  The deepest map of each bath is kept; a longer chain maps the bath
+  again, to its own length.  A map's first n sites do not depend on its
+  depth beyond roundoff (a Lorentzian's moments switch from a recurrence to
+  quadrature at a depth-dependent threshold), so a cut equals the direct
+  n-site map to 2e-14 of its largest hopping, and a report may move in its
+  last digits with the maps already cached.  No chain is ever padded;
 - one set-up: its chains and its ``CycleMap``, keyed by (both spectral
   functions, chain length, g, tau).  Neither depends on the temperatures or
   chemical potentials, so a point that differs only in mu or beta refills the
@@ -38,41 +41,39 @@ import numpy as np
 from .builder import (assemble_hamiltonian, chain_length_for_tau, copies_required,
                       rethermalization_estimate)
 from .chainmap import ChainCoefficients, chain_map_tridiag
-from .config import ProcessConfig, RunConfig
+from .config import BathConfig, ProcessConfig, RunConfig
 from .dynamics import HOLE, PARTICLE, in_frame, preb_trajectory, step_thermodynamics
 from .errors import ConfigError, NoUniqueNessError
 from .negf import NegfReport, landauer_currents
 from .propagator import CycleMap, cycle_map, drive_matrix, solve_dlyap_direct
-from .spectral import LORENTZIAN, BathThermalSpec, SpectralFunction, fermi_occupation
+from .spectral import (LORENTZIAN, TABULATED, BathThermalSpec, SpectralFunction,
+                       fermi_occupations)
 from .thermo import NessReport, classify_regime, ness_rates
 
-MAP_DEPTH = 128     # D: the depth every bath is mapped to, then cut or padded
-SIZING_WINDOW = 16  # g_B is the tail hopping of the map's first this many sites
+MAP_DEPTH = 128     # the shallowest map: a bath is mapped to max(l_b, MAP_DEPTH) sites
+SIZING_WINDOW = 16  # g_B is the tail hopping of a map this many sites deep
+
+_maps: dict[SpectralFunction, ChainCoefficients] = {}  # the deepest map of each bath
 
 
 def clear_caches() -> None:
-    _bath_map.cache_clear()
+    _maps.clear()
+    _bath_speed.cache_clear()
     _set_up.cache_clear()
 
 
 @functools.cache
-def _bath_map(sf: SpectralFunction) -> tuple[ChainCoefficients, float]:
-    """The bath's map to ``MAP_DEPTH`` sites and its light-cone speed g_B."""
-    chain = chain_map_tridiag(sf, MAP_DEPTH)
-    window = ChainCoefficients(chain.eps[:SIZING_WINDOW], chain.hop[:SIZING_WINDOW])
-    return chain, window.hop_asym
+def _bath_speed(sf: SpectralFunction) -> float:
+    """The bath's light-cone speed g_B: the tail hopping of its ``SIZING_WINDOW``-site map."""
+    return chain_map_tridiag(sf, SIZING_WINDOW).hop_asym
 
 
 def _chain_for(sf: SpectralFunction, l_b: int) -> ChainCoefficients:
-    """The bath's chain for a set-up of ``l_b`` sites, to be cut or padded to it.
-
-    That is the cached map, unless its tail has not settled and ``l_b``
-    reaches past it: then the bath is mapped to ``l_b`` itself.
-    """
-    chain, _ = _bath_map(sf)
-    if l_b <= MAP_DEPTH or chain.tail_converged():
-        return chain
-    return chain_map_tridiag(sf, l_b)
+    """The bath's cached map, at least ``l_b`` sites deep; a longer chain remaps the bath."""
+    chain = _maps.get(sf)
+    if chain is None or chain.depth < l_b:
+        chain = _maps[sf] = chain_map_tridiag(sf, max(l_b, MAP_DEPTH))
+    return chain
 
 
 @dataclass
@@ -129,8 +130,8 @@ class NessBundle:
 
 
 def _chain_length(sfs: tuple[SpectralFunction, ...], process: ProcessConfig) -> int:
-    """l_b = ceil(g_B tau) + L_0, with g_B the faster bath's, from the cached bath maps."""
-    g_b = max(_bath_map(sf)[1] for sf in sfs)
+    """l_b = ceil(g_B tau) + L_0, with g_B the faster bath's, from the cached sizing maps."""
+    g_b = max(_bath_speed(sf) for sf in sfs)
     return chain_length_for_tau(g_b, process.tau, process.l_0)
 
 
@@ -151,21 +152,34 @@ def _set_up(sfs: tuple[SpectralFunction, SpectralFunction], l_b: int, g: float,
 def bath_pairs(cfg: RunConfig) -> tuple[tuple[SpectralFunction, ...], tuple[BathThermalSpec, ...]]:
     """Both baths' spectral functions, and both thermal specs; bath 1 first in each pair."""
     b1, b2 = cfg.bath1, cfg.bath2
-    return ((b1.spectral_function(), b2.spectral_function()),
+    return ((_spectral_function(b1), _spectral_function(b2)),
             (BathThermalSpec(b1.beta, b1.mu), BathThermalSpec(b2.beta, b2.mu)))
+
+
+def _spectral_function(bath: BathConfig) -> SpectralFunction:
+    """The bath's J: a closed-form kind from a cache, a table read from its file on every call."""
+    if bath.kind == TABULATED:
+        return bath.spectral_function()
+    return _closed_form(bath.kind, bath.kappa, bath.lam, bath.omega0, bath.cutoff)
+
+
+@functools.lru_cache(maxsize=16)
+def _closed_form(kind: str, kappa: float, lam: float, omega0: float,
+                 cutoff: float) -> SpectralFunction:
+    return BathConfig(kind=kind, kappa=kappa, lam=lam, omega0=omega0,
+                      cutoff=cutoff).spectral_function()
 
 
 def build_bundle(cfg: RunConfig) -> NessBundle:
     """Every intermediate of one point; the set-up part comes from the set-up cache."""
     sfs, specs = bath_pairs(cfg)
     chains, cycle = _set_up(sfs, _chain_length(sfs, cfg.process), cfg.g, cfg.process.tau)
-    occupations = tuple(fermi_occupation(spec, energies)
-                        for spec, energies in zip(specs, cycle.energies))
+    occupations = fermi_occupations(specs, cycle.energies)
     frame = PARTICLE
-    if occupations[0].sum() + occupations[1].sum() > cycle.l_b:  # a mean above 1/2
+    # a mean above 1/2; np.add.reduce is ndarray.sum without its Python wrapper
+    if np.add.reduce(occupations[0]) + np.add.reduce(occupations[1]) > cycle.l_b:
         frame = HOLE
-        occupations = tuple(fermi_occupation(spec, energies, hole=True)
-                            for spec, energies in zip(specs, cycle.energies))
+        occupations = fermi_occupations(specs, cycle.energies, hole=True)
     p_s = drive_matrix(cycle, *occupations)
     return NessBundle(cfg=cfg, chains=chains, cycle=cycle, specs=specs,
                       occupations=occupations, p_s=p_s, frame=frame)
@@ -200,10 +214,10 @@ def run_trajectory(cfg: RunConfig, steps: int):
 
 
 def run_chainmap(cfg: RunConfig) -> tuple[ChainCoefficients, ChainCoefficients]:
-    """Each bath's chain as the set-up uses it: ``l_b`` sites, cut or padded."""
+    """Each bath's chain as the set-up uses it: its map cut to ``l_b`` sites."""
     sfs = bath_pairs(cfg)[0]
     l_b = _chain_length(sfs, cfg.process)
-    return tuple(ChainCoefficients(*_chain_for(sf, l_b).padded(l_b)) for sf in sfs)
+    return tuple(ChainCoefficients(*_chain_for(sf, l_b).cut(l_b)) for sf in sfs)
 
 
 def run_negf(cfg: RunConfig) -> NegfReport:

@@ -226,9 +226,22 @@ def fermi_occupation(spec: BathThermalSpec, omega, *, hole: bool = False):
     overflows to inf gives the limit 0, and without a warning.
     """
     with np.errstate(over="ignore"):
-        x = spec.beta * (np.asarray(omega, dtype=float) - spec.mu)
-        f = 1.0 / (1.0 + np.exp(-x if hole else x))
+        f = _fermi(spec, omega, hole)
     return float(f) if np.ndim(f) == 0 else f
+
+
+def fermi_occupations(specs, energies, *, hole: bool = False) -> tuple[np.ndarray, ...]:
+    """``fermi_occupation`` of each spec at its energies, under one overflow guard.
+
+    A warm steady-state point takes both chains' Fermi factors this way.
+    """
+    with np.errstate(over="ignore"):
+        return tuple(_fermi(spec, omega, hole) for spec, omega in zip(specs, energies))
+
+
+def _fermi(spec: BathThermalSpec, omega, hole: bool):
+    x = spec.beta * (np.asarray(omega, dtype=float) - spec.mu)
+    return 1.0 / (1.0 + np.exp(-x if hole else x))
 
 
 # -- grids and the Hilbert transform ----------------------------------------

@@ -55,8 +55,8 @@ def _entropy(c: mp.matrix) -> mp.mpf:
 def oracle_step(cfg, chains, c_s: np.ndarray) -> StepThermo:
     """The accounting of one cycle from the particle-frame system state ``c_s``.
 
-    ``chains`` are the set-up's two (eps, hop) pairs, each already cut or
-    padded to the chain length; ``cfg`` gives g, tau and the baths' beta and mu.
+    ``chains`` are the set-up's two (eps, hop) pairs, each already cut to the
+    chain length; ``cfg`` gives g, tau and the baths' beta and mu.
     """
     key = tuple(tuple(tuple(float(x) for x in a) for a in chain) for chain in chains)
     specs = [(mp.mpf(b.beta), mp.mpf(b.mu)) for b in (cfg.bath1, cfg.bath2)]

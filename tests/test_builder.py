@@ -62,7 +62,7 @@ class TestAssemble:
         It skips either one silently when it is missing, so its ``builder.n``
         and ``builder.eigh_s`` metrics would read 0; this pins both names.
         """
-        chain = toy_chain(np.zeros(3), np.ones(3))
+        chain = toy_chain(np.zeros(7), np.ones(7))
         setup = assemble_hamiltonian(0.5, [chain, chain], l_b)
         assert setup.n_sites == 2 + 2 * l_b
         assert hasattr(type(setup), "eigensystem")  # on the class, as the tracer checks
@@ -102,12 +102,14 @@ class TestAssemble:
         assert np.max(np.abs(h[s, b1])) <= 1e-300
         assert np.max(np.abs(h[s, b2])) <= 1e-300
 
-    def test_padding_beyond_available_depth(self):
+    def test_a_chain_shorter_than_the_set_up_is_refused(self):
+        """Chains are cut, never padded: a set-up longer than a chain is an error."""
         chain = toy_chain([0.1, 0.2, 0.2], [0.9, 3.1, 2.9])
-        setup = assemble_hamiltonian(1.0, [chain, chain], 6)
+        setup = assemble_hamiltonian(1.0, [chain, chain], 2)
         for b in (setup.bath1, setup.bath2):
-            assert_allclose(setup.diagonal[b][3:], chain.eps_asym)
-            assert_array_equal(setup.diagonal[b][:3], chain.eps)
+            assert_array_equal(setup.diagonal[b], chain.eps[:2])
+        with pytest.raises(ValueError, match="chain length"):
+            assemble_hamiltonian(1.0, [chain, chain], 4)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,24 +1,29 @@
 import dataclasses
+import json
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import chain_from_csv
-from preb import cli
+from conftest import chain_from_csv, engine_config
+from preb import cli, pipeline
 from preb.chainmap import (ChainCoefficients, chain_map_recursion,
                            chain_map_tridiag, discretize_modes, star_to_chain)
 from preb.config import parse_config
 from preb.errors import NumericsError
-from preb.pipeline import run_chainmap
+from preb.pipeline import SIZING_WINDOW, bath_pairs, build_bundle, clear_caches, run_chainmap
 from preb.spectral import SpectralFunction
 
 ROOT = Path(__file__).resolve().parent.parent
 NARROW = SpectralFunction.lorentzian(2.0, 0.01, 2.0, 6.0)
 FLAT = SpectralFunction.flat(0.5, 6.0)
 RESUME_LINE = "resuming with CGS2"
+ORACLE = json.loads((Path(__file__).resolve().parent / "chain_oracle.json").read_text())
 
 
 class TestGoldenLorentzian:
@@ -214,30 +219,30 @@ class TestChainCoefficients:
         with pytest.raises(ValueError):
             ChainCoefficients(eps=np.array([np.nan]), hop=np.array([1.0]))
 
-    def test_padding_uses_asymptotics(self):
+    def test_cut_refuses_to_pad(self):
+        """A cut is a prefix of the chain; a length past its depth is an error, not padding."""
         cc = chain_map_tridiag(FLAT, 16)
-        eps, hop = cc.padded(20)
-        assert eps.size == hop.size == 20
-        assert_allclose(eps[16:], cc.eps_asym)
-        assert_allclose(hop[16:], cc.hop_asym)
-        eps_s, hop_s = cc.padded(5)
-        assert_allclose(eps_s, cc.eps[:5])
-        assert_allclose(hop_s, cc.hop[:5])
+        eps_s, hop_s = cc.cut(5)
+        assert_array_equal(eps_s, cc.eps[:5])
+        assert_array_equal(hop_s, cc.hop[:5])
+        assert_array_equal(cc.cut(16)[1], cc.hop)
+        with pytest.raises(ValueError, match="chain length"):
+            cc.cut(17)
 
     def test_replace_recomputes_the_asymptotics(self):
-        """The tail averages follow the arrays: a replaced chain pads with its own tail."""
+        """The tail averages follow the arrays: a replaced chain has its own tail."""
         cc = ChainCoefficients(eps=np.zeros(6), hop=np.ones(6))
         wider = dataclasses.replace(cc, hop=np.full(6, 3.0))
         assert wider.hop_asym == 3.0
-        assert_allclose(wider.padded(8)[1][6:], 3.0)
+        assert_array_equal(wider.cut(6)[1], 3.0)
         with pytest.raises(TypeError):
             ChainCoefficients(eps=np.zeros(6), hop=np.ones(6), eps_asym=1.0)
 
     @pytest.mark.parametrize("length", [0, -1])
-    def test_padding_rejects_an_empty_chain(self, length):
+    def test_cut_rejects_an_empty_chain(self, length):
         cc = ChainCoefficients(eps=np.zeros(3), hop=np.ones(3))
         with pytest.raises(ValueError, match="length"):
-            cc.padded(length)
+            cc.cut(length)
 
     def test_all_coefficients_positive_and_finite(self):
         for sf in (NARROW, FLAT, SpectralFunction.lorentzian(2.0, 1.0, -1.0, 6.0)):
@@ -260,3 +265,168 @@ def test_recursion_rejects_empty_spectrum():
     empty = SpectralFunction.tabulated(np.linspace(-1, 1, 33), np.zeros(33))
     with pytest.raises(NumericsError, match="decouples"):
         chain_map_recursion(empty, 2)
+
+
+def _oracle_case(lam, omega0=2.0):
+    return next(case for case in ORACLE["chains"]
+                if case["lam"] == lam and case["omega0"] == omega0)
+
+
+def _chain_gap(cc, eps, hop):
+    """Largest coefficient difference, over the largest hopping: on-site energies sit near 0."""
+    return max(np.max(np.abs(cc.eps - eps)), np.max(np.abs(cc.hop - hop))) / np.max(hop)
+
+
+class TestModifiedMoments:
+    """The production map against closed forms and a 50-digit run of the same algorithm."""
+
+    @pytest.mark.parametrize("lam, depth, tol", [
+        (1.0, 128, 1e-12),    # Clenshaw-Curtis moments
+        (0.05, 128, 1e-12),   # forward recurrence
+        (1e-3, 128, 1e-12),
+        (0.05, 606, 1e-11),   # Clenshaw-Curtis moments
+    ])
+    def test_lorentzian_matches_the_mpmath_oracle(self, lam, depth, tol):
+        case = _oracle_case(lam)
+        sf = SpectralFunction.lorentzian(case["kappa"], lam, case["omega0"], case["cutoff"])
+        cc = chain_map_tridiag(sf, depth)
+        assert _chain_gap(cc, np.array(case["eps"][:depth]), np.array(case["hop"][:depth])) <= tol
+
+    def test_recorded_oracle_comes_from_the_oracle_script(self):
+        """A short chain recomputed live equals the head of the recorded one."""
+        pytest.importorskip("mpmath")
+        import chain_oracle
+
+        case = _oracle_case(1.0)
+        eps, hop = chain_oracle.oracle_chain(case["kappa"], 1.0, case["omega0"], case["cutoff"], 5)
+        assert_allclose(eps, case["eps"][:5], rtol=1e-15, atol=1e-15)
+        assert_allclose(hop, case["hop"][:5], rtol=1e-15)
+        assert ORACLE["quad_vs_recurrence"] < 1e-30
+
+    def test_flat_band_is_the_legendre_chain(self):
+        """eps = 0, hop_0 = sqrt(kappa 2D / 2pi) and hop_p = D p / sqrt(4 p^2 - 1)."""
+        cc = chain_map_tridiag(FLAT, 128)
+        p = np.arange(1, 128)
+        hop = np.concatenate([[math.sqrt(0.5 * 12.0 / (2 * np.pi))],
+                              6.0 * p / np.sqrt(4 * p * p - 1)])
+        assert _chain_gap(cc, np.zeros(128), hop) <= 1e-13
+
+    def test_table_that_samples_a_lorentzian(self):
+        """Only the piecewise-linear interpolation error, O(dw^2), separates the two."""
+        sf = SpectralFunction.lorentzian(2.0, 1.0, 2.0, 6.0)
+        omega = np.linspace(-6.0, 6.0, 12001)
+        table = chain_map_tridiag(SpectralFunction.tabulated(omega, sf(omega)), 128)
+        exact = chain_map_tridiag(sf, 128)
+        assert _chain_gap(table, exact.eps, exact.hop) <= 1e-7
+
+    def test_gapped_table_merges_its_bands(self):
+        """Two bands with a gap: each is mapped on its own and the chains merged.
+
+        Moments over the whole span amplify roundoff by about 2^depth here
+        (double precision loses positivity at depth 52); the reference runs
+        the modified Chebyshev algorithm on those moments at 50 digits.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        import chain_oracle
+
+        omega = np.linspace(-3.0, 3.0, 7)
+        values = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+        cc = chain_map_tridiag(SpectralFunction.tabulated(omega, values), 40)
+        eps, hop = chain_oracle.modified_chebyshev(
+            _table_moments_mp(mpmath, omega, values, 80), 40, 3.0)
+        assert _chain_gap(cc, np.array(eps), np.array(hop)) <= 1e-12
+
+
+def _table_moments_mp(mpmath, omega, values, count):
+    """(1/2pi) int T_k(w / D) J(w) dw of a piecewise-linear J on [-D, D], at 60 digits."""
+    with mpmath.workdps(60):
+        cutoff = mpmath.mpf(float(omega[-1]))
+        x = [mpmath.mpf(float(w)) / cutoff for w in omega]
+        y = [mpmath.mpf(float(v)) for v in values]
+
+        def anti(k, t):  # int T_k
+            if k == 0:
+                return t
+            if k == 1:
+                return t * t / 2
+            return (mpmath.chebyt(k + 1, t) / (k + 1) - mpmath.chebyt(k - 1, t) / (k - 1)) / 2
+
+        def anti_x(k, t):  # int x T_k = int (T_{k+1} + T_{|k-1|}) / 2
+            return (anti(k + 1, t) + anti(abs(k - 1), t)) / 2
+
+        out = []
+        for k in range(count):
+            total = mpmath.mpf(0)
+            for a, b, ya, yb in zip(x[:-1], x[1:], y[:-1], y[1:]):
+                slope = (yb - ya) / (b - a)
+                total += ((ya - slope * a) * (anti(k, b) - anti(k, a))
+                          + slope * (anti_x(k, b) - anti_x(k, a)))
+            out.append(total * cutoff / (2 * mpmath.pi))
+        return out
+
+
+class TestCachedMaps:
+    """A map's first n sites do not depend on its depth, so the pipeline cuts one map."""
+
+    @pytest.mark.parametrize("sf", [NARROW, FLAT, SpectralFunction.lorentzian(2.0, 0.3, 2.0, 6.0)],
+                             ids=["narrow", "flat", "wide"])
+    def test_a_cut_of_a_deeper_map_is_the_direct_map(self, sf):
+        deep = chain_map_tridiag(sf, 156)
+        for n in (1, SIZING_WINDOW, 128):
+            eps, hop = deep.cut(n)
+            assert _chain_gap(chain_map_tridiag(sf, n), eps, hop) <= 1e-13
+
+    def test_sizing_map_is_the_head_of_the_deep_map(self):
+        clear_caches()
+        cfg = engine_config(tau=50.0)
+        bundle = build_bundle(cfg)
+        for sf, chain in zip(bath_pairs(cfg)[0], bundle.chains):
+            window = chain_map_tridiag(sf, SIZING_WINDOW)
+            eps, hop = chain.cut(SIZING_WINDOW)
+            assert _chain_gap(window, eps, hop) <= 1e-13
+            assert pipeline._bath_speed(sf) == window.hop_asym
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _baths(draw):
+    """A spectral function and its weight (1/2pi) int J, computed apart from the map."""
+    kind = draw(st.sampled_from(["lorentzian", "flat", "tabulated"]))
+    cutoff = draw(_log_uniform(1e-3, 1e3))
+    if kind == "lorentzian":
+        mpmath = pytest.importorskip("mpmath")
+        kappa, lam = draw(_log_uniform(1e-8, 1e4)), draw(_log_uniform(1e-4, 100.0))
+        omega0 = draw(st.floats(-2.0, 2.0)) * cutoff  # peaks outside the cutoff too
+        with mpmath.workdps(30):
+            angle = (mpmath.atan((cutoff - mpmath.mpf(omega0)) / lam)
+                     + mpmath.atan((cutoff + mpmath.mpf(omega0)) / lam))
+            weight = float(kappa * angle / (2 * mpmath.pi))
+        return SpectralFunction.lorentzian(kappa, lam, omega0, cutoff), weight
+    if kind == "flat":
+        kappa = draw(_log_uniform(1e-8, 1e4))
+        return SpectralFunction.flat(kappa, cutoff), kappa * cutoff / np.pi
+    # tables with runs of zeros, so with gaps between bands
+    samples = draw(st.integers(2, 40))
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+                           min_size=samples, max_size=samples))
+    values[draw(st.integers(0, samples - 1))] = 1.0
+    start = draw(st.floats(-2.0, 1.0)) * cutoff
+    sf = SpectralFunction.tabulated(np.linspace(start, start + cutoff, samples), np.array(values))
+    return sf, sf.integral(*sf.support) / (2 * np.pi)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(bath=_baths(), depth=st.integers(1, 400))
+def test_chain_map_is_finite_and_keeps_its_weight(bath, depth):
+    """Any bath maps to finite positive hoppings with hop_0^2 = (1/2pi) int J, or raises."""
+    sf, weight = bath
+    try:
+        cc = chain_map_tridiag(sf, depth)
+    except NumericsError:
+        return
+    assert cc.depth == depth
+    assert np.all(np.isfinite(cc.eps)) and np.all(np.isfinite(cc.hop)) and np.all(cc.hop > 0)
+    assert cc.hop[0] ** 2 == pytest.approx(weight, rel=1e-12)

@@ -244,7 +244,7 @@ class TestStepThermodynamics:
             oracle_step = pytest.importorskip("oracle").oracle_step  # needs mpmath
         for cfg in points:
             bundle = build_bundle(cfg)
-            chains = [chain.padded(bundle.l_b) for chain in bundle.chains]
+            chains = [chain.cut(bundle.l_b) for chain in bundle.chains]
             rng = np.random.default_rng(11)
             for _ in range(4):
                 c = random_system_state(rng)

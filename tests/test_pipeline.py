@@ -9,11 +9,11 @@ import pytest
 from conftest import (assert_conservation_laws, bundle_in_frame, chain_size_convergence,
                       engine_config, fixed_config, write_spectral_table)
 from preb import cli
-from preb.chainmap import chain_map_tridiag
+from preb.chainmap import chain_map_tridiag, discretize_modes, star_to_chain
 from preb.config import BathConfig, parse_config
 from preb.dynamics import HOLE, PARTICLE, in_frame, preb_step
-from preb.pipeline import (MAP_DEPTH, build_bundle, chain_depth, clear_caches, run_ness,
-                           run_trajectory)
+from preb.pipeline import (MAP_DEPTH, SIZING_WINDOW, build_bundle, chain_depth, clear_caches,
+                           run_ness, run_trajectory)
 from preb.propagator import drive_matrix
 from preb.sweeps import apply_axis, run_sweep, sweep_values
 from preb.validation import _rho_to_mu
@@ -43,7 +43,7 @@ class TestSizing:
         assert chain_depth(longer) > base
 
     def test_heat_engine_depths(self):
-        """The light-cone speed comes from the first 16 sites of the depth-128 map."""
+        """The light-cone speed comes from a map of the first 16 sites."""
         assert chain_depth(engine_config(tau=50.0)) == 156
         cfg = parse_config(CONFIGS / "sweep_tau.ini")
         taus = sweep_values(cfg.sweep)
@@ -123,7 +123,10 @@ def test_warm_point_does_no_eigendecomposition(monkeypatch):
 
 
 class TestChainMaps:
-    """Each bath is mapped once, to ``MAP_DEPTH``, and cut or padded to every l_b."""
+    """Each bath is sized from a ``SIZING_WINDOW``-site map, then mapped once and cut.
+
+    The map is max(l_b, ``MAP_DEPTH``) sites deep; a longer chain maps the bath again.
+    """
 
     @pytest.fixture
     def map_depths(self, monkeypatch):
@@ -137,12 +140,18 @@ class TestChainMaps:
     def test_tau_sweep_maps_each_bath_once(self, map_depths):
         rows = run_sweep(parse_config(CONFIGS / "sweep_tau.ini"))
         assert len(rows) == 40 and all(row.error is None for row in rows)
-        assert map_depths == [MAP_DEPTH, MAP_DEPTH]
+        assert map_depths == [SIZING_WINDOW, SIZING_WINDOW, MAP_DEPTH, MAP_DEPTH]
 
     def test_deep_point_maps_each_bath_once(self, map_depths):
         bundle = build_bundle(engine_config(tau=50.0))
         assert bundle.l_b == 156
-        assert map_depths == [MAP_DEPTH, MAP_DEPTH]
+        assert map_depths == [SIZING_WINDOW, SIZING_WINDOW, 156, 156]
+        # a shorter set-up cuts the deeper map; a longer one maps the baths again
+        shorter = build_bundle(engine_config(tau=20.0))
+        assert all(a is b for a, b in zip(shorter.chains, bundle.chains))
+        assert len(map_depths) == 4
+        assert build_bundle(engine_config(tau=60.0)).l_b == 186
+        assert map_depths[4:] == [186, 186]
 
     def test_unsettled_tail_is_mapped_to_the_chain_length(self, map_depths, tmp_path):
         """Two bands with a gap: the hoppings alternate and never settle."""
@@ -151,11 +160,11 @@ class TestChainMaps:
         cfg = engine_config(tau=80.0)
         cfg = cfg.replace(bath1=BathConfig(kind="tabulated", table=str(tmp_path / "gapped.csv")))
         l_b = chain_depth(cfg)
-        assert l_b > MAP_DEPTH and set(map_depths) == {MAP_DEPTH}
+        assert l_b > MAP_DEPTH and map_depths == [SIZING_WINDOW, SIZING_WINDOW]
         bundle = build_bundle(cfg)
-        assert [chain.depth for chain in bundle.chains] == [l_b, MAP_DEPTH]
+        assert [chain.depth for chain in bundle.chains] == [l_b, l_b]
         assert not bundle.chains[0].tail_converged()
-        assert map_depths.count(l_b) == 1
+        assert map_depths == [SIZING_WINDOW, SIZING_WINDOW, l_b, l_b]
 
     def test_tabulated_bath_is_mapped_once(self, map_depths, tmp_path):
         """A table read again for every point still keys both caches."""
@@ -164,8 +173,23 @@ class TestChainMaps:
         cfg = engine_config().replace(
             bath1=BathConfig(kind="tabulated", table=str(tmp_path / "band.csv")))
         bundles = [build_bundle(apply_axis(cfg, "mu", mu)) for mu in (-2.0, -1.5, -1.0, -0.5)]
-        assert map_depths == [MAP_DEPTH, MAP_DEPTH]
+        assert map_depths == [SIZING_WINDOW, SIZING_WINDOW, MAP_DEPTH, MAP_DEPTH]
         assert all(bundle.cycle is bundles[0].cycle for bundle in bundles)
+
+    def test_production_never_reaches_the_lanczos_oracle(self, monkeypatch, tmp_path):
+        """Lorentzian, flat and gapped tabulated baths all map through the moments."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point reached the discretize-and-Lanczos oracle")
+
+        for fn in (discretize_modes, star_to_chain):
+            _wrap_at_every_binding(monkeypatch, fn, refuse)
+        clear_caches()
+        omega = np.linspace(-3.0, 3.0, 601)
+        write_spectral_table(tmp_path / "gapped.csv", omega, (abs(omega) >= 1.0) * 1.0)
+        cfg = engine_config(tau=50.0)
+        for bath1 in (cfg.bath1, BathConfig(kind="flat", kappa=0.5),
+                      BathConfig(kind="tabulated", table=str(tmp_path / "gapped.csv"))):
+            assert build_bundle(cfg.replace(bath1=bath1)).l_b > MAP_DEPTH
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
     def test_shipped_baths_settle_within_the_map(self, path, caplog):
@@ -266,12 +290,16 @@ class TestFrame:
     @pytest.mark.parametrize("tau", [1.0, 20.0])
     @pytest.mark.parametrize("mu", [-3.0, -2.0, 0.0, 1.0])
     def test_frames_agree(self, tau, mu):
-        """Both frames give the same report to 3e-13 of its largest rate."""
+        """Both frames give the same report to 1e-12 of its largest rate.
+
+        The gap is roundoff, and it moves with the chain: at tau = 20 it reads
+        0.4-5e-13 for lambda in [0.049, 0.051], with either map.
+        """
         bundle = build_bundle(apply_axis(engine_config(tau=tau), "mu", mu))
         assert bundle.frame == (HOLE if mu >= 0 else PARTICLE)
         other = bundle_in_frame(bundle, PARTICLE if bundle.frame == HOLE else HOLE)
         got, want = _rates(other.report()), _rates(bundle.report())
-        assert np.max(np.abs(got - want)) <= 3e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_hole_frame_trajectory_returns_particle_states(self):
         cfg = apply_axis(engine_config(), "mu", 1.0)

@@ -25,7 +25,11 @@ sites is the depth-n map.  The moments are
   the slope jumps of J times a second antiderivative of T_k, cell by cell.
   Moments over a span with a gap in J amplify roundoff by about 2^depth, so
   each band of the table (a run of cells that carry weight) is mapped on
-  its own span, and the band chains are merged.
+  its own span, and the band chains are merged by a Lanczos recurrence on
+  their block diagonal.  A J that only nearly vanishes over a stretch is
+  as badly conditioned, so a table's map is run a second time on moments
+  moved by their own roundoff, and a map the two runs disagree on raises
+  ``NumericsError``.
 
 Two oracles stay for the tests and criterion C09: ``chain_map_recursion``
 iterates the moment recursion on a frequency grid,
@@ -54,8 +58,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericsError
-from .spectral import (FLAT, LORENTZIAN, SpectralFunction, SpectralTable, frequency_grid,
-                       hilbert_transform)
+from .spectral import (FLAT, LORENTZIAN, TABULATED, SpectralFunction, SpectralTable,
+                       frequency_grid, hilbert_transform)
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +68,10 @@ RECURSION_G2_FLOOR = 1e-12  # the moment recursion stops at this squared hopping
 FORWARD_TOLERANCE = 1e-13   # bound on rho^(2 depth) 2^-52 for the forward q_k recurrence
 QUADRATURE_DIGITS = 45.0    # Clenshaw-Curtis nodes past 2 depth: this many e-folds of rho
 TABLE_BLOCK = 1 << 16       # cosines per block of the tabulated moments
-MAX_MERGED_SITES = 2048     # bound on the star that merges a table's bands
+PROBE_SIZE = 2.0 ** -50     # moment perturbation, over m_0, that gauges a map's roundoff
+PROBE_SEED = 20100921       # fixed, so a map is deterministic
+MAP_TOLERANCE = 1e-8        # largest roundoff a map may carry, over its largest hopping
+ORTHOGONALITY_ESTIMATE = 2.0 ** -26  # sqrt(epsilon): the band merge reorthogonalizes from here
 
 
 def _tail_stats(eps: np.ndarray, hop: np.ndarray) -> tuple[float, float, float]:
@@ -139,11 +146,12 @@ def chain_map_tridiag(sf: SpectralFunction, depth: int) -> ChainCoefficients:
     moments m_k for k < 2 depth, then the modified Chebyshev algorithm, then
     eps = c + h alpha and hop = (sqrt(m_0), h sqrt(beta_1), ...) with
     [c - h, c + h] the band.  A table whose J vanishes on whole cells between
-    bands has one chain per band, and those chains are merged.
+    bands has one chain per band, and those chains are merged; a table's map
+    that roundoff has taken over raises ``NumericsError``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    bands = [_band_chain(interval, moments, depth)
+    bands = [_band_chain(interval, moments, depth, probed=sf.kind == TABULATED)
              for interval, moments in _chebyshev_moments(sf, 2 * depth)]
     eps, hop = bands[0] if len(bands) == 1 else _merge_bands(bands)
     if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(hop)) and np.all(hop > 0)):
@@ -172,42 +180,109 @@ def _chebyshev_moments(sf: SpectralFunction,
             for a, b in zip(edges[::2], edges[1::2])]
 
 
-def _band_chain(interval: tuple[float, float], moments: np.ndarray,
-                depth: int) -> tuple[np.ndarray, np.ndarray]:
+def _band_chain(interval: tuple[float, float], moments: np.ndarray, depth: int,
+                probed: bool) -> tuple[np.ndarray, np.ndarray]:
     alpha, beta = _modified_chebyshev(moments, depth)
+    if probed:
+        _check_roundoff(moments, alpha, beta)
     center, half = (interval[0] + interval[1]) / 2, (interval[1] - interval[0]) / 2
     hop = np.sqrt(beta)
     hop[1:] *= half
     return center + half * alpha, hop
 
 
+def _check_roundoff(moments: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> None:
+    """Raise ``NumericsError`` from the first level the moments no longer determine.
+
+    Where J nearly vanishes on part of its span, the algorithm amplifies
+    roundoff by about a factor 2 a level while s_{k,k} stays of order m_0,
+    so the chain goes wrong without losing positivity.  A second run on
+    moments moved by ``PROBE_SIZE`` m_0 in random directions, the size of
+    their own roundoff, parts from the first as far as roundoff reaches; a
+    level whose alpha or sqrt(beta) moved by more than ``MAP_TOLERANCE`` of
+    the largest sqrt(beta) so far is lost.
+    """
+    depth = alpha.size
+    probe = np.random.default_rng(PROBE_SEED).uniform(-1.0, 1.0, 2 * depth)
+    moved = moments[:2 * depth] + PROBE_SIZE * moments[0] * probe
+    try:
+        probe_alpha, probe_beta = _modified_chebyshev(moved, depth)
+    except NumericsError as exc:
+        raise NumericsError(f"chain map lost accuracy: moments moved by their own roundoff "
+                            f"give no chain ({exc})") from None
+    root, probe_root = np.sqrt(beta[1:]), np.sqrt(probe_beta[1:])
+    spread = np.maximum(np.abs(alpha[1:] - probe_alpha[1:]), np.abs(root - probe_root))
+    lost = np.flatnonzero(spread > MAP_TOLERANCE * np.maximum.accumulate(root))
+    if lost.size:
+        raise NumericsError(f"chain map lost accuracy at depth {lost[0] + 1}: the moments "
+                            "do not define the measure to this depth")
+
+
 def _merge_bands(bands: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """The chain of a sum of measures, from each one's chain of the same depth n.
 
-    The star of one site coupled by hop_c[0] to the head of every band's chain
-    has, at that site, each band's n-point Gauss rule: exact up to degree
-    2n - 1, so its first n chain levels are those of the sum.  They come from
-    a Householder tridiagonalization of the star, which keeps the first site
-    fixed and is backward stable (LAPACK dsytrd).
+    Each band chain is a Jacobi matrix whose n-point Gauss rule, seen from
+    its head, is exact up to degree 2n - 1.  So the first n levels of the sum
+    are those of the star of one site coupled by hop_c[0] to the head of
+    every band chain, and a Lanczos recurrence on the block diagonal of the
+    band matrices, started from the heads, finds them at O(n bands) a step.
+    Simon's recurrence (Math. Comp. 42, 115 (1984)) estimates the basis'
+    loss of orthogonality at O(n) a step; once the estimate passes
+    sqrt(epsilon), every new vector is orthogonalized against all earlier
+    ones, twice (CGS2).
     """
     depth = bands[0][0].size
-    size = 1 + depth * len(bands)
-    if size > MAX_MERGED_SITES:
-        raise NumericsError(f"{len(bands)} separate bands need {size} sites to merge at "
-                            f"depth {depth}, more than {MAX_MERGED_SITES}")
-    star = np.zeros((size, size))
-    for c, (eps, hop) in enumerate(bands):
-        head = 1 + c * depth
-        star[head, 0] = hop[0]
-        sites = np.arange(head, head + depth)
-        star[sites, sites] = eps
-        star[sites[1:], sites[:-1]] = hop[1:]
-    # scipy.linalg is imported here, as in preb.builder, so that ``import preb`` does not load it
-    from scipy.linalg.lapack import dsytrd
-    _, diagonal, off, _, info = dsytrd(star, lower=1)
-    if info != 0:
-        raise NumericsError(f"tridiagonalization of the merged bands failed (info {info})")
-    return diagonal[1:depth + 1], np.abs(off[:depth])
+    size = depth * len(bands)
+    diag = np.concatenate([eps for eps, _ in bands])
+    off = np.concatenate([np.append(hop[1:], 0.0) for _, hop in bands])[:-1]
+    basis = np.zeros((depth, size))
+    basis[0, ::depth] = [hop[0] for _, hop in bands]
+    g0 = math.sqrt(float(basis[0] @ basis[0]))
+    basis[0] /= g0
+    alpha, beta = np.empty(depth), np.zeros(depth + 1)  # beta[j] links vectors j - 1 and j
+    tiny = np.finfo(float).eps * (np.max(np.abs(diag)) + 2 * np.max(off, initial=0.0))
+    omega, omega_before = np.ones(1), np.zeros(0)  # estimated overlaps of vector j, j - 1
+    reorthogonalize = False
+    r = np.empty(size)
+    for j in range(depth):
+        q = basis[j]
+        np.multiply(diag, q, out=r)
+        r[:-1] += off * q[1:]
+        r[1:] += off * q[:-1]
+        alpha[j] = r @ q
+        if j == depth - 1:
+            break
+        r -= alpha[j] * q
+        if j:
+            r -= beta[j] * basis[j - 1]
+        if reorthogonalize:
+            _orthogonalize(r, basis[:j + 1])
+        b = math.sqrt(float(r @ r))
+        if not b > tiny:
+            raise NumericsError(f"merged band chain decouples at depth {j + 1}")
+        if not reorthogonalize:
+            w = np.empty(j + 2)
+            x = (beta[1:j + 1] * omega[1:] + (alpha[:j] - alpha[j]) * omega[:-1]
+                 - beta[j] * omega_before)
+            x[1:] += beta[1:j] * omega[:-2]
+            w[:j] = (x + np.copysign(tiny, x)) / b
+            w[j], w[j + 1] = tiny / b, 1.0
+            omega, omega_before = w, omega
+            if np.max(np.abs(w[:-1])) > ORTHOGONALITY_ESTIMATE:
+                reorthogonalize = True
+                _orthogonalize(r, basis[:j + 1])
+                b = math.sqrt(float(r @ r))
+        beta[j + 1] = b
+        np.divide(r, b, out=basis[j + 1])
+    hop = beta[:depth].copy()
+    hop[0] = g0
+    return alpha, hop
+
+
+def _orthogonalize(r: np.ndarray, basis: np.ndarray) -> None:
+    """Remove from ``r``, in place, its components along the orthonormal rows of ``basis``: CGS2."""
+    for _ in range(2):
+        r -= (basis @ r) @ basis
 
 
 def _integrals_of_t(count: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -29,10 +30,7 @@ class BathConfig:
     table: Optional[str] = None  # CSV path for the tabulated kind
 
     def spectral_function(self) -> SpectralFunction:
-        if self.kind == LORENTZIAN:
-            return SpectralFunction.lorentzian(self.kappa, self.lam, self.omega0, self.cutoff)
-        if self.kind == FLAT:
-            return SpectralFunction.flat(self.kappa, self.cutoff)
+        """The bath's J: a closed form from a cache, a table read from its file on every call."""
         if self.kind == TABULATED:
             if not self.table:
                 raise ConfigError("tabulated bath needs a 'table' CSV path")
@@ -40,7 +38,17 @@ class BathConfig:
                 return read_spectral_table(self.table)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read spectral table {self.table}: {exc}") from exc
-        raise ConfigError(f"unknown bath kind {self.kind!r}")
+        return _closed_form(self.kind, self.kappa, self.lam, self.omega0, self.cutoff)
+
+
+@functools.lru_cache(maxsize=16)
+def _closed_form(kind: str, kappa: float, lam: float, omega0: float,
+                 cutoff: float) -> SpectralFunction:
+    if kind == LORENTZIAN:
+        return SpectralFunction.lorentzian(kappa, lam, omega0, cutoff)
+    if kind == FLAT:
+        return SpectralFunction.flat(kappa, cutoff)
+    raise ConfigError(f"unknown bath kind {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,12 @@ import numpy as np
 from .builder import (assemble_hamiltonian, chain_length_for_tau, copies_required,
                       rethermalization_estimate)
 from .chainmap import ChainCoefficients, chain_map_tridiag
-from .config import BathConfig, ProcessConfig, RunConfig
+from .config import ProcessConfig, RunConfig
 from .dynamics import HOLE, PARTICLE, in_frame, preb_trajectory, step_thermodynamics
 from .errors import ConfigError, NoUniqueNessError
 from .negf import NegfReport, landauer_currents
 from .propagator import CycleMap, cycle_map, drive_matrix, solve_dlyap_direct
-from .spectral import (LORENTZIAN, TABULATED, BathThermalSpec, SpectralFunction,
-                       fermi_occupations)
+from .spectral import LORENTZIAN, BathThermalSpec, SpectralFunction, fermi_occupations
 from .thermo import NessReport, classify_regime, ness_rates
 
 MAP_DEPTH = 128     # the shallowest map: a bath is mapped to max(l_b, MAP_DEPTH) sites
@@ -152,22 +151,8 @@ def _set_up(sfs: tuple[SpectralFunction, SpectralFunction], l_b: int, g: float,
 def bath_pairs(cfg: RunConfig) -> tuple[tuple[SpectralFunction, ...], tuple[BathThermalSpec, ...]]:
     """Both baths' spectral functions, and both thermal specs; bath 1 first in each pair."""
     b1, b2 = cfg.bath1, cfg.bath2
-    return ((_spectral_function(b1), _spectral_function(b2)),
+    return ((b1.spectral_function(), b2.spectral_function()),
             (BathThermalSpec(b1.beta, b1.mu), BathThermalSpec(b2.beta, b2.mu)))
-
-
-def _spectral_function(bath: BathConfig) -> SpectralFunction:
-    """The bath's J: a closed-form kind from a cache, a table read from its file on every call."""
-    if bath.kind == TABULATED:
-        return bath.spectral_function()
-    return _closed_form(bath.kind, bath.kappa, bath.lam, bath.omega0, bath.cutoff)
-
-
-@functools.lru_cache(maxsize=16)
-def _closed_form(kind: str, kappa: float, lam: float, omega0: float,
-                 cutoff: float) -> SpectralFunction:
-    return BathConfig(kind=kind, kappa=kappa, lam=lam, omega0=omega0,
-                      cutoff=cutoff).spectral_function()
 
 
 def build_bundle(cfg: RunConfig) -> NessBundle:

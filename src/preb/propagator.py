@@ -158,6 +158,10 @@ def _cycle_operators(setup: SetupHamiltonian, d: np.ndarray):
     2 Re D_kk [l = m] + sum_{q in m} |D_kq|^2, its energy by the same sums
     weighted with e, and its coupling energy by
     2 Re[conj(D_k,s_m) (c_mk [l = m] + sum_q c_mq D_kq)].
+    Unitarity makes 2 Re D_kk equal to -sum_j |D_jk|^2, and that is the form
+    used: a filled star then changes no bath's particle number or energy to
+    rounding, rather than to the propagator's roundoff, which is what
+    otherwise separates a hole-frame report from the particle-frame one.
     """
     l_b, n, s = setup.l_b, setup.n_sites, setup.system
     chains = (slice(0, l_b), slice(l_b + 2, n))
@@ -172,7 +176,7 @@ def _cycle_operators(setup: SetupHamiltonian, d: np.ndarray):
     reach = d @ coupling  # row k: sum_q c_mq D_kq
     link = d[:, s]        # row k: D_k,s_m
     rows = np.empty((n, 6))
-    rows[:, :4] = abs2 @ weight + 2.0 * d.diagonal().real[:, None] * weight
+    rows[:, :4] = abs2 @ weight - abs2.sum(axis=0)[:, None] * weight
     rows[:, 4:] = 2.0 * (link.conj() * (coupling + reach)).real
     pairs = (link.conj()[:, :, None] * link[:, None, :]).reshape(n, 4)
     drive = tuple(pairs[b].copy() for b in chains)

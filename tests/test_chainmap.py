@@ -6,12 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import chain_from_csv, engine_config
-from preb import cli, pipeline
+from preb import chainmap, cli, pipeline
 from preb.chainmap import (ChainCoefficients, chain_map_recursion,
                            chain_map_tridiag, discretize_modes, star_to_chain)
 from preb.config import parse_config
@@ -336,6 +334,60 @@ class TestModifiedMoments:
             _table_moments_mp(mpmath, omega, values, 80), 40, 3.0)
         assert _chain_gap(cc, np.array(eps), np.array(hop)) <= 1e-12
 
+    def test_gapped_table_maps_past_a_thousand_sites(self):
+        """J on [-3, -1] and [1, 3]: the hoppings tend to (3 - 1)/2 and (3 + 1)/2 in turn."""
+        sf = SpectralFunction.tabulated(np.linspace(-3.0, 3.0, 7),
+                                        np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0]))
+        cc = chain_map_tridiag(sf, 1100)
+        eps, hop = cc.cut(40)
+        assert _chain_gap(chain_map_tridiag(sf, 40), eps, hop) <= 1e-13
+        assert np.max(np.abs(cc.eps)) <= 1e-11  # the bands mirror each other
+        assert_allclose(cc.hop[1000::2], 1.0, atol=1e-5)
+        assert_allclose(cc.hop[1001::2], 2.0, atol=1e-5)
+
+    @pytest.mark.parametrize("width", [1e-2, 0.0], ids=["narrow", "point"])
+    def test_band_merge_matches_the_dense_star(self, width):
+        """The Lanczos merge against a Householder tridiagonalization of the whole star.
+
+        A band of width 0 is a point mass at 5, to which a Ritz value
+        converges at once: the basis loses orthogonality and is kept
+        orthogonal from there on.
+        """
+        from scipy.linalg.lapack import dsytrd
+
+        depth = 200
+        p = np.arange(1, depth)
+        bands = [(np.zeros(depth), np.concatenate([[1.0], p / np.sqrt(4 * p * p - 1)])),
+                 (np.full(depth, 5.0), np.concatenate([[1.0], np.full(depth - 1, width / 4 or 1e-8)]))]
+        star = np.zeros((1 + 2 * depth, 1 + 2 * depth))
+        for c, (eps, hop) in enumerate(bands):
+            sites = np.arange(1 + c * depth, 1 + (c + 1) * depth)
+            star[sites[0], 0] = hop[0]
+            star[sites, sites] = eps
+            star[sites[1:], sites[:-1]] = hop[1:]
+        _, diagonal, off, _, _ = dsytrd(star, lower=1)
+        cc = ChainCoefficients(*chainmap._merge_bands(bands))
+        assert _chain_gap(cc, diagonal[1:depth + 1], np.abs(off[:depth])) <= 3e-13
+
+    @pytest.mark.parametrize("floor", [1e-12, 1e-6])
+    def test_near_gap_is_refused_or_matches_lanczos(self, floor):
+        """J = floor, not 0, across |w| < 1: one band whose moments lose about 2 bits a level.
+
+        The map must raise rather than return a wrong chain; where it
+        returns one, that matches the discretized Lanczos chain to within
+        the Lanczos chain's own discretization error (5e-4 here).
+        """
+        omega = np.linspace(-3.0, 3.0, 601)
+        values = np.where(np.abs(omega) >= 1.0, 1.0 + 0.5 * np.cos(omega), floor)
+        sf = SpectralFunction.tabulated(omega, values)
+        try:
+            cc = chain_map_tridiag(sf, 100)
+        except NumericsError as exc:
+            assert floor == 1e-12 and "lost accuracy at depth" in str(exc)
+            return
+        eps, hop = star_to_chain(*discretize_modes(sf, 6000), 100)
+        assert _chain_gap(cc, eps, hop) <= 1e-3
+
 
 def _table_moments_mp(mpmath, omega, values, count):
     """(1/2pi) int T_k(w / D) J(w) dw of a piecewise-linear J on [-D, D], at 60 digits."""
@@ -385,48 +437,3 @@ class TestCachedMaps:
             eps, hop = chain.cut(SIZING_WINDOW)
             assert _chain_gap(window, eps, hop) <= 1e-13
             assert pipeline._bath_speed(sf) == window.hop_asym
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
-
-
-@st.composite
-def _baths(draw):
-    """A spectral function and its weight (1/2pi) int J, computed apart from the map."""
-    kind = draw(st.sampled_from(["lorentzian", "flat", "tabulated"]))
-    cutoff = draw(_log_uniform(1e-3, 1e3))
-    if kind == "lorentzian":
-        mpmath = pytest.importorskip("mpmath")
-        kappa, lam = draw(_log_uniform(1e-8, 1e4)), draw(_log_uniform(1e-4, 100.0))
-        omega0 = draw(st.floats(-2.0, 2.0)) * cutoff  # peaks outside the cutoff too
-        with mpmath.workdps(30):
-            angle = (mpmath.atan((cutoff - mpmath.mpf(omega0)) / lam)
-                     + mpmath.atan((cutoff + mpmath.mpf(omega0)) / lam))
-            weight = float(kappa * angle / (2 * mpmath.pi))
-        return SpectralFunction.lorentzian(kappa, lam, omega0, cutoff), weight
-    if kind == "flat":
-        kappa = draw(_log_uniform(1e-8, 1e4))
-        return SpectralFunction.flat(kappa, cutoff), kappa * cutoff / np.pi
-    # tables with runs of zeros, so with gaps between bands
-    samples = draw(st.integers(2, 40))
-    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
-                           min_size=samples, max_size=samples))
-    values[draw(st.integers(0, samples - 1))] = 1.0
-    start = draw(st.floats(-2.0, 1.0)) * cutoff
-    sf = SpectralFunction.tabulated(np.linspace(start, start + cutoff, samples), np.array(values))
-    return sf, sf.integral(*sf.support) / (2 * np.pi)
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(bath=_baths(), depth=st.integers(1, 400))
-def test_chain_map_is_finite_and_keeps_its_weight(bath, depth):
-    """Any bath maps to finite positive hoppings with hop_0^2 = (1/2pi) int J, or raises."""
-    sf, weight = bath
-    try:
-        cc = chain_map_tridiag(sf, depth)
-    except NumericsError:
-        return
-    assert cc.depth == depth
-    assert np.all(np.isfinite(cc.eps)) and np.all(np.isfinite(cc.hop)) and np.all(cc.hop > 0)
-    assert cc.hop[0] ** 2 == pytest.approx(weight, rel=1e-12)

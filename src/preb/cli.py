@@ -8,7 +8,8 @@ The physics modules return objects and know nothing of the format.
 
 Exit codes: 0 success, 2 configuration error, 3 no unique steady state,
 4 numerical failure or any other error, 5 validation failure.  An error
-prints one line to stderr, never a traceback.
+prints one line to stderr, never a traceback.  ``negf`` adds one stderr line
+when its quadrature stopped at the refinement cap; its table is unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 
 from .config import RunConfig, parse_config, validate_process
 from .errors import ConfigError, NoUniqueNessError, PrebError
-from .negf import landauer_currents, transmission_table
+from .negf import QUAD_ABS_TOL, landauer_currents, transmission_table
 from .pipeline import bath_pairs, run_chainmap, run_ness, run_trajectory
 from .sweeps import run_sweep
 from .validation import run_validation
@@ -168,6 +169,10 @@ def _cmd_negf(args) -> int:
     cfg = _load_config(args)
     leads, specs = bath_pairs(cfg)
     report = landauer_currents(cfg.g, leads, specs)
+    if report.capped_intervals:
+        print(f"warning: {report.capped_intervals} quadrature intervals hit the refinement cap;"
+              f" the currents and occupations may miss the {QUAD_ABS_TOL:g} tolerance",
+              file=sys.stderr)
     with _out_stream(args.out) as fh:
         _write_table(fh, ["I", "J", "Q1", "Q2", "P_chem", "sigma"]
                      + [f"n{i + 1}" for i in range(report.occupations.size)],

@@ -1,20 +1,28 @@
 import logging
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import negf_oracle
 from conftest import dense_propagator, engine_config, fixed_config
+from preb import cli
 from preb.builder import assemble_hamiltonian
 from preb.chainmap import ChainCoefficients, chain_map_tridiag
+from preb.config import heat_engine_preset, parse_config
 from preb.errors import NumericsError
-from preb.negf import (LeadSelfEnergy, _resolvent_abs2, landauer_currents,
+from preb.negf import (LeadSelfEnergy, _integrand, _resolvent_abs2, landauer_currents,
                        transmission_table)
-from preb.pipeline import run_negf, run_ness
+from preb.pipeline import bath_pairs, run_negf, run_ness
 from preb.spectral import BathThermalSpec, SpectralFunction, fermi_occupation
 
+ROOT = Path(__file__).resolve().parent.parent
 LEAD1 = SpectralFunction.lorentzian(2.0, 1.0, 2.0, 6.0)
 LEAD2 = SpectralFunction.lorentzian(2.0, 1.0, -1.0, 6.0)
+TABLE_OMEGA = np.linspace(-4.0, 4.0, 161)
+TABLE_LEAD = SpectralFunction.tabulated(TABLE_OMEGA, 0.3 * (1 + np.cos(np.pi * TABLE_OMEGA / 4)))
 
 
 class TestSelfEnergy:
@@ -68,7 +76,67 @@ class TestResolvent:
         a[:, 0, 0] -= s1
         a[:, 1, 1] -= s2
         want = np.abs(np.linalg.inv(a)) ** 2
-        assert np.allclose(_resolvent_abs2(g, s1, s2, w), want, rtol=1e-12, atol=0)
+        g11, g12, g22 = _resolvent_abs2(g, w, (s1.real, s2.real), (-2 * s1.imag, -2 * s2.imag))
+        got = np.stack([g11, g12, g12, g22], axis=-1).reshape(-1, 2, 2)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_singular_frequency_is_nudged_into_the_lower_half_plane(self):
+        """At w = g with Re Sigma = J = 0, det A = w^2 - g^2 is exactly 0.
+
+        That frequency alone moves to w + 1e-12 i, so |G^r|^2 stays finite and
+        equals the closed form there; the other frequency is left as it is.
+        """
+        g = 1.0
+        w = np.array([g, 0.3])
+        zero = np.zeros(2)
+        with pytest.warns(UserWarning, match="singular resolvent"):
+            got = _resolvent_abs2(g, w, (zero, zero), (zero, zero))
+        z = w + 1e-12j * (w == g)
+        det = z * z - g * g
+        want = (np.abs(z / det) ** 2, np.abs(g / det) ** 2, np.abs(z / det) ** 2)
+        for part, ref in zip(got, want):
+            assert np.isfinite(part).all()
+            assert np.allclose(part, ref, rtol=1e-12, atol=0)
+
+
+def _config_case(cfg):
+    leads, specs = bath_pairs(cfg)
+    return cfg.g, leads, specs
+
+
+KERNEL_CASES = [
+    *(pytest.param(*_config_case(heat_engine_preset(lam=lam)), id=f"ladder-{lam:.0e}")
+      for lam in np.geomspace(1e-3, 1.0, 5)),
+    pytest.param(*_config_case(parse_config(ROOT / "configs" / "refrigerator.ini")),
+                 id="refrigerator"),
+    pytest.param(1.0, (TABLE_LEAD, LEAD2), (BathThermalSpec(0.5, -1.0), BathThermalSpec(2.0, 0.5)),
+                 id="tabulated"),
+]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("g, leads, specs", KERNEL_CASES)
+    def test_rows_match_the_complex_integrand(self, g, leads, specs):
+        """Each row is within 1e-13 of its largest magnitude of the complex reference.
+
+        The frequencies reach past both supports, and past the tabulated
+        lead's grid, where Re Sigma is held at its end value.
+        """
+        sigmas = (LeadSelfEnergy(leads[0]), LeadSelfEnergy(leads[1]))
+        w = np.linspace(-6.3, 6.3, 20_001)
+        got = _integrand(g, specs, sigmas)(w)
+        want = negf_oracle.landauer_rows(g, specs, sigmas, w)
+        assert got.shape == want.shape == (4, w.size)
+        scale = np.max(np.abs(want), axis=1)
+        assert (scale > 0).all()
+        assert (np.max(np.abs(got - want), axis=1) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("g, leads, specs", KERNEL_CASES[-3:])
+    def test_transmission_table_matches_the_complex_resolvent(self, g, leads, specs):
+        w, t = transmission_table(g, leads)
+        s1, s2 = (negf_oracle.self_energy(LeadSelfEnergy(sf), w) for sf in leads)
+        want = negf_oracle.transmission(s1, s2, negf_oracle.resolvent_abs2(g, s1, s2, w))
+        assert np.max(np.abs(t - want)) <= 1e-13 * np.max(want)
 
 
 class TestLandauer:
@@ -118,6 +186,42 @@ class TestLandauer:
         rep = landauer_currents(1.0, (LEAD1, LEAD2), specs)
         assert rep.p_chem == 0.0
         assert rep.qdot[0] == pytest.approx(-rep.qdot[1], rel=1e-12)
+
+
+class TestRefinementCap:
+    NARROW_INI = textwrap.dedent("""\
+        [bath1]
+        lambda = 1e-4
+        beta = 0.1
+        mu = -2.0
+
+        [bath2]
+        lambda = 1e-4
+        beta = 1.0
+        mu = -2.0
+    """)
+
+    def test_capped_intervals_reach_the_report_and_the_cli(self, tmp_path, capsys):
+        """Both baths at lambda = 1e-4 cap thousands of intervals; ``preb negf`` says so."""
+        cfg = heat_engine_preset(lam=1e-4)
+        rep = run_negf(cfg)
+        assert rep.capped_intervals > 0
+        path = tmp_path / "narrow.ini"
+        path.write_text(self.NARROW_INI)
+        assert parse_config(path) == cfg
+        assert cli.main(["negf", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.count("\n") == 2
+        warned = [line for line in err.splitlines() if "quadrature intervals" in line]
+        assert len(warned) == 1
+        assert f"{rep.capped_intervals} quadrature intervals hit the refinement cap" in warned[0]
+
+    @pytest.mark.parametrize("config", ["heat_engine.ini", "refrigerator.ini", "sweep_tau.ini"])
+    def test_shipped_configs_are_not_capped(self, config, capsys):
+        path = ROOT / "configs" / config
+        assert run_negf(parse_config(path)).capped_intervals == 0
+        assert cli.main(["negf", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_refreshed_steady_state_approaches_the_autonomous_one():

@@ -6,6 +6,8 @@ thermodynamics (power, heat currents, entropy production, machine regimes)
 follows without time evolution.
 """
 
+import logging
+
 from .builder import (SetupHamiltonian, assemble_hamiltonian, chain_length_for_tau,
                       copies_required, rethermalization_estimate, thermal_correlation)
 from .chainmap import (ChainCoefficients, chain_map_recursion, chain_map_tridiag,
@@ -29,5 +31,8 @@ from .thermo import (CollisionalPrediction, NessReport, carnot_cop,
                      carnot_efficiency, classify_regime, collisional_limit,
                      curzon_ahlborn_efficiency, ness_rates, tight_coupling_check)
 from .validation import CriterionResult, run_validation
+
+# log records are the application's to show; else Python's last-resort handler prints them
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

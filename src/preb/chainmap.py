@@ -40,11 +40,11 @@ iterates the moment recursion on a frequency grid,
 
 with J^H the principal-value Hilbert transform, exact but ill-conditioned at
 depth; and ``discretize_modes`` with ``star_to_chain`` tridiagonalizes a
-discretized bath by a Lanczos recurrence, the discrete Stieltjes procedure
-(Gautschi, Orthogonal Polynomials, OUP 2004, 2.2), certified by one Gram
-product and resumed with classical Gram-Schmidt applied twice (CGS2) from the
-first row that leaks (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50,
-1069 (2005)).  All three routes give the same chain in the continuum limit.
+discretized bath by the Lanczos recurrence that merges band chains, the
+discrete Stieltjes procedure (Gautschi, Orthogonal Polynomials, OUP 2004,
+2.2), which Simon's estimate of the basis' loss of orthogonality switches to
+full reorthogonalization where it is needed.  All three routes give the same
+chain in the continuum limit.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ TABLE_BLOCK = 1 << 16       # cosines per block of the tabulated moments
 PROBE_SIZE = 2.0 ** -50     # moment perturbation, over m_0, that gauges a map's roundoff
 PROBE_SEED = 20100921       # fixed, so a map is deterministic
 MAP_TOLERANCE = 1e-8        # largest roundoff a map may carry, over its largest hopping
-ORTHOGONALITY_ESTIMATE = 2.0 ** -26  # sqrt(epsilon): the band merge reorthogonalizes from here
+ORTHOGONALITY_ESTIMATE = 2.0 ** -26  # sqrt(epsilon): Lanczos reorthogonalizes from here
 
 
 def _tail_stats(eps: np.ndarray, hop: np.ndarray) -> tuple[float, float, float]:
@@ -224,33 +224,56 @@ def _merge_bands(bands: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray
     Each band chain is a Jacobi matrix whose n-point Gauss rule, seen from
     its head, is exact up to degree 2n - 1.  So the first n levels of the sum
     are those of the star of one site coupled by hop_c[0] to the head of
-    every band chain, and a Lanczos recurrence on the block diagonal of the
+    every band chain, and the Lanczos recurrence on the block diagonal of the
     band matrices, started from the heads, finds them at O(n bands) a step.
-    Simon's recurrence (Math. Comp. 42, 115 (1984)) estimates the basis'
-    loss of orthogonality at O(n) a step; once the estimate passes
-    sqrt(epsilon), every new vector is orthogonalized against all earlier
-    ones, twice (CGS2).
     """
     depth = bands[0][0].size
-    size = depth * len(bands)
     diag = np.concatenate([eps for eps, _ in bands])
     off = np.concatenate([np.append(hop[1:], 0.0) for _, hop in bands])[:-1]
-    basis = np.zeros((depth, size))
-    basis[0, ::depth] = [hop[0] for _, hop in bands]
-    g0 = math.sqrt(float(basis[0] @ basis[0]))
-    basis[0] /= g0
-    alpha, beta = np.empty(depth), np.zeros(depth + 1)  # beta[j] links vectors j - 1 and j
-    tiny = np.finfo(float).eps * (np.max(np.abs(diag)) + 2 * np.max(off, initial=0.0))
+    heads = np.zeros(diag.size)
+    heads[::depth] = [hop[0] for _, hop in bands]
+    eps, hop = _lanczos_chain(diag, off, heads, depth)
+    if eps.size < depth:
+        raise NumericsError(f"merged band chain decouples at depth {eps.size}")
+    return eps, hop
+
+
+def _lanczos_chain(diag: np.ndarray, off: np.ndarray, start: np.ndarray,
+                   depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``depth`` chain levels that ``start`` sees in a symmetric tridiagonal matrix.
+
+    The matrix has diagonal ``diag`` and off-diagonal ``off`` (empty for a
+    star).  The Lanczos recurrence starts from start / |start| and keeps the
+    Krylov basis as the rows of one ``(min(depth, N), N)`` array, at O(N) a
+    step.  Simon's recurrence (Math. Comp. 42, 115 (1984)) estimates the
+    basis' loss of orthogonality at O(depth) a step; once the estimate passes
+    sqrt(epsilon), every new vector is orthogonalized against all earlier
+    ones, twice (CGS2; Giraud, Langou & Rozloznik, Comput. Math. Appl. 50,
+    1069 (2005)).  Returns (eps, hop) with hop[0] = |start|; the arrays stop
+    short of ``depth`` where a residual falls to 1e-13 max(1, max |diag|):
+    the Krylov space is exhausted there.
+    """
+    size = diag.size
+    steps = min(depth, size)
+    basis = np.empty((steps, size))
+    g0 = math.sqrt(float(start @ start))
+    np.divide(start, g0, out=basis[0])
+    alpha, beta = np.empty(steps), np.empty(steps)  # beta[j] links vectors j - 1 and j
+    beta[0] = g0
+    scale = float(np.max(np.abs(diag)))
+    tiny = np.finfo(float).eps * (scale + 2 * np.max(off, initial=0.0))
+    stop = 1e-13 * max(1.0, scale)
     omega, omega_before = np.ones(1), np.zeros(0)  # estimated overlaps of vector j, j - 1
     reorthogonalize = False
     r = np.empty(size)
-    for j in range(depth):
+    for j in range(steps):
         q = basis[j]
         np.multiply(diag, q, out=r)
-        r[:-1] += off * q[1:]
-        r[1:] += off * q[:-1]
+        if off.size:
+            r[:-1] += off * q[1:]
+            r[1:] += off * q[:-1]
         alpha[j] = r @ q
-        if j == depth - 1:
+        if j == steps - 1:
             break
         r -= alpha[j] * q
         if j:
@@ -258,9 +281,7 @@ def _merge_bands(bands: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray
         if reorthogonalize:
             _orthogonalize(r, basis[:j + 1])
         b = math.sqrt(float(r @ r))
-        if not b > tiny:
-            raise NumericsError(f"merged band chain decouples at depth {j + 1}")
-        if not reorthogonalize:
+        if b > stop and not reorthogonalize:
             w = np.empty(j + 2)
             x = (beta[1:j + 1] * omega[1:] + (alpha[:j] - alpha[j]) * omega[:-1]
                  - beta[j] * omega_before)
@@ -272,11 +293,11 @@ def _merge_bands(bands: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray
                 reorthogonalize = True
                 _orthogonalize(r, basis[:j + 1])
                 b = math.sqrt(float(r @ r))
+        if not b > stop:
+            return alpha[:j + 1], beta[:j + 1]
         beta[j + 1] = b
         np.divide(r, b, out=basis[j + 1])
-    hop = beta[:depth].copy()
-    hop[0] = g0
-    return alpha, hop
+    return alpha, beta
 
 
 def _orthogonalize(r: np.ndarray, basis: np.ndarray) -> None:
@@ -496,21 +517,14 @@ def _invert_cumulative(sf: SpectralFunction, lo: float, hi: float,
     return np.interp(targets, cum, grid)
 
 
-def star_to_chain(freqs: np.ndarray, couplings_sq: np.ndarray, depth: int, *,
-                  ortho_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def star_to_chain(freqs: np.ndarray, couplings_sq: np.ndarray,
+                  depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonalize a star bath (mode frequencies, squared couplings) into a chain.
 
-    Three-term Lanczos recurrence on the diagonal mode matrix, started from the
-    normalized coupling vector, with the Krylov basis kept as the rows of one
-    ``(min(depth, N), N)`` array.  The plain recurrence runs first, at O(N)
-    per step, and is then certified by one Gram product ``Q @ Q.T``: every
-    off-diagonal ``|q_i . q_j|`` of the returned basis must be at most
-    ``ortho_tol``.  If row k is the first to leak, the coefficients before it
-    are kept and the recurrence resumes at depth k - 1 with block classical
-    Gram-Schmidt applied twice (CGS2), ``r -= (Q @ r) @ Q``, at every step;
-    a leak that survives the resume raises ``NumericsError``.  Returns
-    (eps, hop) with hop[0] the system-chain coupling; the arrays are shorter
-    than ``depth`` if the Krylov space is exhausted first.
+    The Lanczos recurrence on the diagonal mode matrix, started from the
+    coupling vector: the one the band merge runs.  Returns (eps, hop) with
+    hop[0] the system-chain coupling; the arrays are shorter than ``depth``
+    if the Krylov space is exhausted first.
     """
     freqs = np.asarray(freqs, dtype=float)
     couplings_sq = np.asarray(couplings_sq, dtype=float)
@@ -518,69 +532,10 @@ def star_to_chain(freqs: np.ndarray, couplings_sq: np.ndarray, depth: int, *,
         raise ValueError("freqs and couplings_sq must be matching 1-d arrays")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(couplings_sq))):
+        raise ValueError("frequencies and squared couplings must be finite")
     if np.any(couplings_sq < 0):
         raise ValueError("squared couplings must be non-negative")
-    g0 = np.sqrt(couplings_sq.sum())
-    if g0 <= 0:
+    if couplings_sq.sum() <= 0:
         raise NumericsError("bath carries no coupling weight")
-    scale = max(1.0, float(np.max(np.abs(freqs))))
-    steps = min(depth, freqs.size)
-    basis = np.empty((steps, freqs.size))
-    basis[0] = np.sqrt(couplings_sq) / g0
-    eps, hop = np.empty(steps), np.empty(steps)
-    hop[0] = g0
-    n = _lanczos(freqs, basis, eps, hop, 0, scale, reorthogonalize=False)
-    k, leak = _first_leak(basis[:n], ortho_tol)
-    if k is not None:
-        log.info("plain Lanczos lost orthogonality at depth %d (leak %.3g): "
-                 "resuming with CGS2", k, leak)
-        n = _lanczos(freqs, basis, eps, hop, k - 1, scale, reorthogonalize=True)
-        k, _ = _first_leak(basis[:n], ortho_tol)
-        if k is not None:
-            raise NumericsError(f"loss of orthogonality at depth {k}")
-    return eps[:n], hop[:n]
-
-
-def _lanczos(freqs: np.ndarray, basis: np.ndarray, eps: np.ndarray, hop: np.ndarray,
-             start: int, scale: float, *, reorthogonalize: bool) -> int:
-    """Run the recurrence from step ``start``, filling basis rows ``start + 1`` on.
-
-    Rows up to ``start`` and the coefficients they produced must already be in
-    place.  Returns the number of rows filled: fewer than ``basis`` holds when
-    the Krylov space is exhausted.
-    """
-    steps = basis.shape[0]
-    fw, r, tmp = np.empty((3, freqs.size))  # buffers: every step writes in place
-    for p in range(start, steps):
-        w = basis[p]
-        np.multiply(freqs, w, out=fw)
-        alpha = float(np.dot(fw, w))
-        eps[p] = alpha
-        if p == steps - 1:
-            break
-        np.subtract(fw, np.multiply(alpha, w, out=tmp), out=r)
-        if p:
-            np.subtract(r, np.multiply(hop[p], basis[p - 1], out=tmp), out=r)
-        if reorthogonalize:
-            q = basis[:p + 1]
-            for _ in range(2):
-                r -= (q @ r) @ q
-        beta = math.sqrt(np.dot(r, r))  # as np.linalg.norm computes it
-        if beta <= 1e-13 * scale:
-            return p + 1  # Krylov space exhausted: the chain terminates here
-        hop[p + 1] = beta
-        np.divide(r, beta, out=basis[p + 1])
-    return steps
-
-
-def _first_leak(basis: np.ndarray, ortho_tol: float) -> tuple[Optional[int], float]:
-    """First row of ``basis`` whose overlap with an earlier row exceeds ``ortho_tol``.
-
-    Returns (row, its largest overlap), or (None, 0.0) if the rows are
-    orthogonal to within ``ortho_tol``.
-    """
-    overlaps = np.abs(np.tril(basis @ basis.T, -1)).max(axis=1)
-    bad = np.flatnonzero(overlaps > ortho_tol)
-    if bad.size == 0:
-        return None, 0.0
-    return int(bad[0]), float(overlaps[bad[0]])
+    return _lanczos_chain(freqs, np.zeros(0), np.sqrt(couplings_sq), depth)

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import logging
 import math
 from pathlib import Path
 
@@ -20,7 +19,6 @@ from preb.spectral import SpectralFunction
 ROOT = Path(__file__).resolve().parent.parent
 NARROW = SpectralFunction.lorentzian(2.0, 0.01, 2.0, 6.0)
 FLAT = SpectralFunction.flat(0.5, 6.0)
-RESUME_LINE = "resuming with CGS2"
 ORACLE = json.loads((Path(__file__).resolve().parent / "chain_oracle.json").read_text())
 
 
@@ -120,34 +118,33 @@ class TestStarToChain:
         assert_allclose(eps, [1.5, 1.5], rtol=1e-14)
         assert_allclose(hop, [1.0, 0.5], rtol=1e-14)
 
-    def test_agrees_with_high_precision_lanczos(self, caplog):
+    def test_agrees_with_high_precision_lanczos(self, monkeypatch):
         mpmath = pytest.importorskip("mpmath")
         freqs, weights = discretize_modes(SpectralFunction.lorentzian(2.0, 0.05, 2.0, 6.0), 200)
-        with caplog.at_level(logging.INFO, logger="preb.chainmap"):
-            eps, hop = star_to_chain(freqs, weights, depth=20)
-        assert RESUME_LINE not in caplog.text  # ten modes per site: the plain pass is certified
+        calls = _spy_on_orthogonalize(monkeypatch)
+        eps, hop = star_to_chain(freqs, weights, depth=20)
+        assert calls == []  # ten modes per site: the basis stays orthogonal unaided
         _assert_matches_oracle(mpmath, freqs, weights, eps, hop, 20)
 
-    def test_resumes_with_cgs2_when_the_plain_pass_leaks(self, caplog):
-        # at depth = N the Krylov space fills up, and the plain recurrence loses orthogonality
+    @pytest.mark.parametrize("depth", [40, 60])
+    def test_reorthogonalization_engages_as_the_krylov_space_fills(self, depth, monkeypatch):
+        # near depth = N Ritz values converge, and the plain recurrence loses orthogonality;
+        # asked for more, the star returns its N levels and no more
         mpmath = pytest.importorskip("mpmath")
         freqs = np.linspace(-1, 1, 40)
         weights = np.ones(40)
-        with caplog.at_level(logging.INFO, logger="preb.chainmap"):
-            eps, hop = star_to_chain(freqs, weights, depth=40)
-        assert RESUME_LINE in caplog.text
+        calls = _spy_on_orthogonalize(monkeypatch)
+        eps, hop = star_to_chain(freqs, weights, depth=depth)
+        assert calls
         _assert_matches_oracle(mpmath, freqs, weights, eps, hop, 40)
 
-    def test_orthogonality_guard_trips_on_absurd_tolerance(self):
-        freqs = np.linspace(-1, 1, 40)
-        weights = np.ones(40)
-        with pytest.raises(NumericsError, match="orthogonality"):
-            star_to_chain(freqs, weights, depth=10, ortho_tol=1e-30)
-
-    def test_guard_names_the_first_leaking_depth(self):
-        # roundoff alone exceeds 1e-30, so even the CGS2 resume leaks at the first new row
-        with pytest.raises(NumericsError, match="loss of orthogonality at depth 1$"):
-            star_to_chain(np.linspace(-1, 1, 40), np.ones(40), depth=10, ortho_tol=1e-30)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("argument", ["freqs", "couplings_sq"])
+    def test_rejects_nonfinite_input(self, argument, bad):
+        star = {"freqs": np.array([1.0, 2.0]), "couplings_sq": np.array([0.5, 0.5])}
+        star[argument][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            star_to_chain(star["freqs"], star["couplings_sq"], depth=3)
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
@@ -156,6 +153,19 @@ class TestStarToChain:
     def test_rejects_empty_depth(self):
         with pytest.raises(ValueError, match="depth"):
             star_to_chain(np.array([1.0]), np.array([0.1]), depth=0)
+
+
+def _spy_on_orthogonalize(monkeypatch):
+    """Record the depth of every reorthogonalization the Lanczos recurrence makes."""
+    calls = []
+    orthogonalize = chainmap._orthogonalize
+
+    def spy(r, basis):
+        calls.append(basis.shape[0])
+        orthogonalize(r, basis)
+
+    monkeypatch.setattr(chainmap, "_orthogonalize", spy)
+    return calls
 
 
 def _assert_matches_oracle(mpmath, freqs, weights, eps, hop, depth):

@@ -1,4 +1,7 @@
 import logging
+import os
+import subprocess
+import sys
 import textwrap
 import warnings
 from pathlib import Path
@@ -215,6 +218,15 @@ class TestRefinementCap:
         warned = [line for line in err.splitlines() if "quadrature intervals" in line]
         assert len(warned) == 1
         assert f"{rep.capped_intervals} quadrature intervals hit the refinement cap" in warned[0]
+
+    def test_a_bare_cli_run_names_the_cap_once(self, tmp_path):
+        """Without logging configured, the library's warning stays off stderr: the CLI says it."""
+        path = tmp_path / "narrow.ini"
+        path.write_text(self.NARROW_INI)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        out = subprocess.run([sys.executable, "-m", "preb", "negf", str(path)],
+                             capture_output=True, text=True, check=True, env=env)
+        assert len([line for line in out.stderr.splitlines() if "refinement cap" in line]) == 1
 
     @pytest.mark.parametrize("config", ["heat_engine.ini", "refrigerator.ini", "sweep_tau.ini"])
     def test_shipped_configs_are_not_capped(self, config, capsys):

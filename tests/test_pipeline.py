@@ -198,7 +198,7 @@ class TestChainMaps:
             bundle = build_bundle(parse_config(path))
         assert [chain.depth for chain in bundle.chains] == [MAP_DEPTH, MAP_DEPTH]
         assert all(chain.tail_converged() for chain in bundle.chains)
-        # neither "chain tail not settled" nor "resuming with CGS2"
+        # the chain map logs nothing, such as "chain tail not settled"
         assert [r.getMessage() for r in caplog.records if r.name == "preb.chainmap"] == []
 
 

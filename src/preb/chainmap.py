@@ -6,13 +6,14 @@ recurrence coefficients of the monic polynomials orthogonal under the measure
 J(w) dw / 2pi, and its first hopping g_0 = sqrt((1/2pi) int J) is the
 system-chain coupling.
 
-``chain_map_tridiag`` is the production route.  It maps the support of J onto
-[-1, 1], takes the Chebyshev moments m_k = (1/2pi) int T_k J there, and runs
-the modified Chebyshev algorithm on them (Sack & Donovan, Numer. Math. 18, 465
-(1972); Gautschi, SIAM J. Sci. Stat. Comput. 3, 289 (1982)): O(depth^2)
-operations, with no discretization of the bath and no Krylov basis.  The
-level-k coefficients use only the moments below 2k + 2, so a map cut to n
-sites is the depth-n map.  The moments are
+``chain_map_tridiag`` is the production route.  For a flat or Lorentzian J
+it maps the support onto [-1, 1], takes the Chebyshev moments
+m_k = (1/2pi) int T_k J there, and runs the modified Chebyshev algorithm on
+them (Sack & Donovan, Numer. Math. 18, 465 (1972); Gautschi, SIAM J. Sci.
+Stat. Comput. 3, 289 (1982)): O(depth^2) operations, with no discretization
+of the bath and no Krylov basis.  The level-k coefficients use only the
+moments below 2k + 2, so a map cut to n sites is the depth-n map.  The
+moments are
 
 - flat: exact, m_k = (kappa D / 2pi) int T_k;
 - Lorentzian: m_k = (kappa / 2pi) Im q_k with q_k = int T_k(x) / (x - z) dx and
@@ -20,16 +21,19 @@ sites is the depth-n map.  The moments are
   q_{k+1} = 2 z q_k - q_{k-1} + 2 int T_k amplifies roundoff by about
   rho^k, rho = |z + sqrt(z^2 - 1)|, so it runs only while
   rho^(2 depth) 2^-52 stays below ``FORWARD_TOLERANCE``; wider peaks take
-  Clenshaw-Curtis quadrature of J, whose weights and moments are two FFTs;
-- tabulated (piecewise-linear J): exact.  Integrating twice by parts leaves
-  the slope jumps of J times a second antiderivative of T_k, cell by cell.
-  Moments over a span with a gap in J amplify roundoff by about 2^depth, so
-  each band of the table (a run of cells that carry weight) is mapped on
-  its own span, and the band chains are merged by a Lanczos recurrence on
-  their block diagonal.  A J that only nearly vanishes over a stretch is
-  as badly conditioned, so a table's map is run a second time on moments
-  moved by their own roundoff, and a map the two runs disagree on raises
-  ``NumericsError``.
+  Clenshaw-Curtis quadrature of J, whose weights and moments are two FFTs.
+
+A tabulated J is piecewise linear, and Chebyshev moments over a span where
+it vanishes or nearly vanishes amplify roundoff by up to 2^depth.  So a
+table is mapped by the discretized Stieltjes method (Gautschi, Orthogonal
+Polynomials, OUP 2004, 2.2): each cell that carries weight gets
+Gauss-Legendre nodes, which integrate its linear J times a polynomial
+exactly up to their degree, and ``star_to_chain`` runs the Lanczos
+recurrence on those nodes as a star.  Simon's estimate of the basis' loss
+of orthogonality switches it to full reorthogonalization where needed.  The
+node count doubles until two runs agree to ``MAP_TOLERANCE`` of the largest
+hopping, so a deeper or finer map costs more nodes, not an option; a map
+whose next run would pass ``KRYLOV_LIMIT`` raises ``NumericsError``.
 
 Two oracles stay for the tests and criterion C09: ``chain_map_recursion``
 iterates the moment recursion on a frequency grid,
@@ -39,12 +43,9 @@ iterates the moment recursion on a frequency grid,
     J_{p+1}   = 4 g_p^2 J_p / (J_p^H^2 + J_p^2)
 
 with J^H the principal-value Hilbert transform, exact but ill-conditioned at
-depth; and ``discretize_modes`` with ``star_to_chain`` tridiagonalizes a
-discretized bath by the Lanczos recurrence that merges band chains, the
-discrete Stieltjes procedure (Gautschi, Orthogonal Polynomials, OUP 2004,
-2.2), which Simon's estimate of the basis' loss of orthogonality switches to
-full reorthogonalization where it is needed.  All three routes give the same
-chain in the continuum limit.
+depth; and ``discretize_modes`` discretizes any bath into a star of exact
+cell weights at the cells' centroids, for ``star_to_chain``.  All three
+routes give the same chain in the continuum limit.
 """
 
 from __future__ import annotations
@@ -67,10 +68,8 @@ TAIL_TOLERANCE = 0.05
 RECURSION_G2_FLOOR = 1e-12  # the moment recursion stops at this squared hopping
 FORWARD_TOLERANCE = 1e-13   # bound on rho^(2 depth) 2^-52 for the forward q_k recurrence
 QUADRATURE_DIGITS = 45.0    # Clenshaw-Curtis nodes past 2 depth: this many e-folds of rho
-TABLE_BLOCK = 1 << 16       # cosines per block of the tabulated moments
-PROBE_SIZE = 2.0 ** -50     # moment perturbation, over m_0, that gauges a map's roundoff
-PROBE_SEED = 20100921       # fixed, so a map is deterministic
-MAP_TOLERANCE = 1e-8        # largest roundoff a map may carry, over its largest hopping
+MAP_TOLERANCE = 1e-8        # a table's node density holds where two runs agree to this
+KRYLOV_LIMIT = 1 << 30      # bytes of Lanczos basis a table's map may take
 ORTHOGONALITY_ESTIMATE = 2.0 ** -26  # sqrt(epsilon): Lanczos reorthogonalizes from here
 
 
@@ -136,114 +135,110 @@ class ChainCoefficients:
         return self.eps[:length], self.hop[:length]
 
 
-# -- modified Chebyshev moments ------------------------------------------------
+# -- the production map: Chebyshev moments, or Gauss nodes for a table ---------
 
 
 def chain_map_tridiag(sf: SpectralFunction, depth: int) -> ChainCoefficients:
-    """The bath's first ``depth`` chain sites, from its modified Chebyshev moments.
+    """The bath's first ``depth`` chain sites (see the module docstring).
 
-    The production route (see the module docstring): per band of J, the
-    moments m_k for k < 2 depth, then the modified Chebyshev algorithm, then
-    eps = c + h alpha and hop = (sqrt(m_0), h sqrt(beta_1), ...) with
-    [c - h, c + h] the band.  A table whose J vanishes on whole cells between
-    bands has one chain per band, and those chains are merged; a table's map
-    that roundoff has taken over raises ``NumericsError``.
+    A flat or Lorentzian J: the moments m_k for k < 2 depth, then the
+    modified Chebyshev algorithm, then eps = c + h alpha and hop =
+    (sqrt(m_0), h sqrt(beta_1), ...) with [c - h, c + h] the support.  A
+    table: ``star_to_chain`` on Gauss-Legendre nodes of the cells that carry
+    weight, at the node density where two runs agree.  A chain that comes
+    out short, non-finite or non-positive raises ``NumericsError``, as does
+    a table whose runs still part at ``KRYLOV_LIMIT``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    bands = [_band_chain(interval, moments, depth, probed=sf.kind == TABULATED)
-             for interval, moments in _chebyshev_moments(sf, 2 * depth)]
-    eps, hop = bands[0] if len(bands) == 1 else _merge_bands(bands)
+    if sf.kind == TABULATED:
+        eps, hop = _table_chain(sf.table, depth)
+    else:
+        alpha, beta = _modified_chebyshev(_chebyshev_moments(sf, 2 * depth), depth)
+        lo, hi = sf.support
+        center, half = (lo + hi) / 2, (hi - lo) / 2
+        eps, hop = center + half * alpha, np.sqrt(beta)
+        hop[1:] *= half
     if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(hop)) and np.all(hop > 0)):
         raise NumericsError(f"chain map of depth {depth} is not finite and positive")
     return ChainCoefficients(eps=eps, hop=hop)
 
 
-def _chebyshev_moments(sf: SpectralFunction,
-                       count: int) -> list[tuple[tuple[float, float], np.ndarray]]:
-    """Per band [lo, hi] of J, the moments m_k = (1/2pi) int T_k J for k < count.
+def _chebyshev_moments(sf: SpectralFunction, count: int) -> np.ndarray:
+    """m_k = (1/2pi) int T_k J for k < count, of a flat or Lorentzian J.
 
-    T_k is taken on the band mapped onto [-1, 1], and m_0 is the band's weight
-    (1/2pi) int J in closed form.  The band of a flat or Lorentzian J is its
-    support; a table has one band per run of cells that carry weight.
+    T_k is taken on the support mapped onto [-1, 1], and m_0 is the weight
+    (1/2pi) int J in closed form.
     """
     if sf.kind == FLAT:
-        return [(sf.support, sf.kappa * sf.cutoff / (2 * np.pi) * _integrals_of_t(count))]
-    if sf.kind == LORENTZIAN:
-        return [(sf.support, _lorentzian_moments(sf, count))]
-    table = sf.table
-    cells = (table.values[:-1] > 0) | (table.values[1:] > 0)
-    if not cells.any():
+        return sf.kappa * sf.cutoff / (2 * np.pi) * _integrals_of_t(count)
+    return _lorentzian_moments(sf, count)
+
+
+def _table_chain(table: SpectralTable, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chain of a piecewise-linear J: Lanczos on ``_table_star`` at rising node density.
+
+    The density doubles until two runs agree to ``MAP_TOLERANCE`` of the
+    largest hopping, and the denser run is kept; a rule that is exact on
+    every cell is kept at once.  A run whose basis would pass
+    ``KRYLOV_LIMIT`` raises ``NumericsError`` instead: runs on a J that
+    falls to the subnormal range stop agreeing at some depth, however dense.
+    """
+    density, before = 1, None
+    while True:
+        freqs, couplings_sq, exact = _table_star(table, depth, density)
+        if freqs.size * min(depth, freqs.size) * 8 > KRYLOV_LIMIT:
+            raise NumericsError(f"table chain of depth {depth} has not settled within "
+                                f"{KRYLOV_LIMIT >> 20} MiB of Lanczos basis "
+                                f"({freqs.size} nodes next)")
+        eps, hop = star_to_chain(freqs, couplings_sq, depth)
+        if eps.size < depth:
+            raise NumericsError(f"table chain decouples at depth {eps.size}")
+        if exact or (before is not None and max(np.max(np.abs(eps - before[0])),
+                                                np.max(np.abs(hop - before[1])))
+                     <= MAP_TOLERANCE * np.max(hop)):
+            return eps, hop
+        density, before = 2 * density, (eps, hop)
+
+
+def _table_star(table: SpectralTable, depth: int,
+                density: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Gauss-Legendre nodes of the cells that carry weight, as a star: (freqs, couplings_sq, exact).
+
+    A cell [a, b] with k nodes x_i and weights w_i gives the couplings^2
+    (b - a)/2 w_i J(x_i) / 2pi.  It gets k = density (1 + ceil(depth mu))
+    nodes.  Its share mu is the larger of 1 / (number of such cells) and
+    its share of the arcsine measure on their span, where the zeros of the
+    chain's polynomials gather; so the shares sum to at least 1, and the
+    star has at least ``depth`` nodes.  k stops at depth + 1, where the
+    rule integrates J p^2 exactly for every polynomial p the first
+    ``depth`` levels see.  ``exact`` says every cell is there.
+    """
+    cells = np.flatnonzero((table.values[:-1] > 0) | (table.values[1:] > 0))
+    if not cells.size:
         raise NumericsError("spectral function carries no weight on its support")
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], cells.astype(np.int8), [0]])))
-    return [_table_moments(table.omega[a:b + 1], table.values[a:b + 1], count)
-            for a, b in zip(edges[::2], edges[1::2])]
+    lo, hi = table.omega[cells], table.omega[cells + 1]
+    center, half = (lo[0] + hi[-1]) / 2, (hi[-1] - lo[0]) / 2
+    angle = np.arccos(np.clip((np.stack([lo, hi]) - center) / half, -1.0, 1.0))
+    share = np.maximum((angle[0] - angle[1]) / np.pi, 1.0 / cells.size)
+    nodes = np.minimum(density * (1 + np.ceil(depth * share)), depth + 1).astype(int)
+    freqs, couplings_sq = [], []
+    for k in np.unique(nodes):
+        at = cells[nodes == k]
+        x, w = np.polynomial.legendre.leggauss(k)
+        t = (1 + x) / 2
+        left, right = table.omega[at, None], table.omega[at + 1, None]
+        freqs.append((left + (right - left) * t).ravel())
+        j = table.values[at, None] * (1 - t) + table.values[at + 1, None] * t
+        couplings_sq.append(((right - left) / (4 * np.pi) * w * j).ravel())
+    return np.concatenate(freqs), np.concatenate(couplings_sq), bool(np.all(nodes == depth + 1))
 
 
-def _band_chain(interval: tuple[float, float], moments: np.ndarray, depth: int,
-                probed: bool) -> tuple[np.ndarray, np.ndarray]:
-    alpha, beta = _modified_chebyshev(moments, depth)
-    if probed:
-        _check_roundoff(moments, alpha, beta)
-    center, half = (interval[0] + interval[1]) / 2, (interval[1] - interval[0]) / 2
-    hop = np.sqrt(beta)
-    hop[1:] *= half
-    return center + half * alpha, hop
-
-
-def _check_roundoff(moments: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> None:
-    """Raise ``NumericsError`` from the first level the moments no longer determine.
-
-    Where J nearly vanishes on part of its span, the algorithm amplifies
-    roundoff by about a factor 2 a level while s_{k,k} stays of order m_0,
-    so the chain goes wrong without losing positivity.  A second run on
-    moments moved by ``PROBE_SIZE`` m_0 in random directions, the size of
-    their own roundoff, parts from the first as far as roundoff reaches; a
-    level whose alpha or sqrt(beta) moved by more than ``MAP_TOLERANCE`` of
-    the largest sqrt(beta) so far is lost.
-    """
-    depth = alpha.size
-    probe = np.random.default_rng(PROBE_SEED).uniform(-1.0, 1.0, 2 * depth)
-    moved = moments[:2 * depth] + PROBE_SIZE * moments[0] * probe
-    try:
-        probe_alpha, probe_beta = _modified_chebyshev(moved, depth)
-    except NumericsError as exc:
-        raise NumericsError(f"chain map lost accuracy: moments moved by their own roundoff "
-                            f"give no chain ({exc})") from None
-    root, probe_root = np.sqrt(beta[1:]), np.sqrt(probe_beta[1:])
-    spread = np.maximum(np.abs(alpha[1:] - probe_alpha[1:]), np.abs(root - probe_root))
-    lost = np.flatnonzero(spread > MAP_TOLERANCE * np.maximum.accumulate(root))
-    if lost.size:
-        raise NumericsError(f"chain map lost accuracy at depth {lost[0] + 1}: the moments "
-                            "do not define the measure to this depth")
-
-
-def _merge_bands(bands: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The chain of a sum of measures, from each one's chain of the same depth n.
-
-    Each band chain is a Jacobi matrix whose n-point Gauss rule, seen from
-    its head, is exact up to degree 2n - 1.  So the first n levels of the sum
-    are those of the star of one site coupled by hop_c[0] to the head of
-    every band chain, and the Lanczos recurrence on the block diagonal of the
-    band matrices, started from the heads, finds them at O(n bands) a step.
-    """
-    depth = bands[0][0].size
-    diag = np.concatenate([eps for eps, _ in bands])
-    off = np.concatenate([np.append(hop[1:], 0.0) for _, hop in bands])[:-1]
-    heads = np.zeros(diag.size)
-    heads[::depth] = [hop[0] for _, hop in bands]
-    eps, hop = _lanczos_chain(diag, off, heads, depth)
-    if eps.size < depth:
-        raise NumericsError(f"merged band chain decouples at depth {eps.size}")
-    return eps, hop
-
-
-def _lanczos_chain(diag: np.ndarray, off: np.ndarray, start: np.ndarray,
+def _lanczos_chain(diag: np.ndarray, start: np.ndarray,
                    depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``depth`` chain levels that ``start`` sees in a symmetric tridiagonal matrix.
+    """The first ``depth`` chain levels that ``start`` sees in the diagonal matrix ``diag``: a star.
 
-    The matrix has diagonal ``diag`` and off-diagonal ``off`` (empty for a
-    star).  The Lanczos recurrence starts from start / |start| and keeps the
+    The Lanczos recurrence starts from start / |start| and keeps the
     Krylov basis as the rows of one ``(min(depth, N), N)`` array, at O(N) a
     step.  Simon's recurrence (Math. Comp. 42, 115 (1984)) estimates the
     basis' loss of orthogonality at O(depth) a step; once the estimate passes
@@ -261,7 +256,7 @@ def _lanczos_chain(diag: np.ndarray, off: np.ndarray, start: np.ndarray,
     alpha, beta = np.empty(steps), np.empty(steps)  # beta[j] links vectors j - 1 and j
     beta[0] = g0
     scale = float(np.max(np.abs(diag)))
-    tiny = np.finfo(float).eps * (scale + 2 * np.max(off, initial=0.0))
+    tiny = np.finfo(float).eps * scale
     stop = 1e-13 * max(1.0, scale)
     omega, omega_before = np.ones(1), np.zeros(0)  # estimated overlaps of vector j, j - 1
     reorthogonalize = False
@@ -269,9 +264,6 @@ def _lanczos_chain(diag: np.ndarray, off: np.ndarray, start: np.ndarray,
     for j in range(steps):
         q = basis[j]
         np.multiply(diag, q, out=r)
-        if off.size:
-            r[:-1] += off * q[1:]
-            r[1:] += off * q[:-1]
         alpha[j] = r @ q
         if j == steps - 1:
             break
@@ -359,44 +351,6 @@ def _clenshaw_curtis_moments(func, count: int, n: int) -> np.ndarray:
     return 0.5 * (dct + g[0] + sign * g[-1])
 
 
-def _table_moments(omega: np.ndarray, values: np.ndarray,
-                   count: int) -> tuple[tuple[float, float], np.ndarray]:
-    """Exact moments of a piecewise-linear J on [omega[0], omega[-1]].
-
-    With A_k'' = T_k, B_k = A_k' and s_i the slope on cell i, two integrations
-    by parts give int J T_k = J(1) B_k(1) - J(-1) B_k(-1) + sum_i d_i A_k(x_i),
-    where d_i is the slope jump at node x_i (s_0 at x = -1, -s_last at x = 1).
-    A_k is a combination of T_{k+2}, T_k and T_{k-2}.
-    """
-    lo, hi = float(omega[0]), float(omega[-1])
-    center, half = (lo + hi) / 2, (hi - lo) / 2
-    x = np.clip((omega - center) / half, -1.0, 1.0)
-    x[[0, -1]] = -1.0, 1.0
-    slope = np.diff(values) / np.diff(x)
-    jumps = np.concatenate([slope[:1], np.diff(slope), -slope[-1:]])
-    where = np.flatnonzero(jumps)
-    theta, jumps = np.arccos(x[where]), jumps[where]
-    size = max(count, 3)
-    order = np.arange(size + 2, dtype=float)
-    sums = np.zeros(size + 2)  # S_j = sum_i d_i T_j(x_i)
-    block = max(1, TABLE_BLOCK // (size + 2))
-    for i in range(0, where.size, block):
-        sums += np.cos(np.outer(order, theta[i:i + block])) @ jumps[i:i + block]
-    k = order[3:size]
-    inner = np.empty(size)  # sum_i d_i A_k(x_i)
-    inner[:3] = sums[2] / 4, sums[3] / 24 - sums[1] / 8, sums[4] / 48 - sums[2] / 6
-    inner[3:] = (sums[5:] / (4 * (k + 1) * (k + 2)) - sums[3:size] / (2 * (k * k - 1))
-                 + sums[1:size - 2] / (4 * (k - 1) * (k - 2)))
-    k = order[2:size]
-    right = np.concatenate([[1.0, 0.25], -1.0 / (k * k - 1)])  # B_k(1)
-    left = -right                                              # B_k(-1)
-    left[1] = 0.25
-    left[3::2] *= -1
-    moments = half / (2 * np.pi) * (inner + values[-1] * right - values[0] * left)[:count]
-    moments[0] = np.trapezoid(values, omega) / (2 * np.pi)
-    return (lo, hi), moments
-
-
 def _modified_chebyshev(moments: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Recurrence coefficients alpha_k, beta_k (k < depth) from 2 depth Chebyshev moments.
 
@@ -470,7 +424,7 @@ def chain_map_recursion(sf: SpectralFunction, depth: int) -> ChainCoefficients:
     return cc
 
 
-# -- discretization + Lanczos: the tests' oracle ------------------------------
+# -- discretization and Lanczos ------------------------------------------------
 
 
 def discretize_modes(sf: SpectralFunction, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -522,9 +476,9 @@ def star_to_chain(freqs: np.ndarray, couplings_sq: np.ndarray,
     """Tridiagonalize a star bath (mode frequencies, squared couplings) into a chain.
 
     The Lanczos recurrence on the diagonal mode matrix, started from the
-    coupling vector: the one the band merge runs.  Returns (eps, hop) with
-    hop[0] the system-chain coupling; the arrays are shorter than ``depth``
-    if the Krylov space is exhausted first.
+    coupling vector: a table's map, and the tests' oracle on a discretized
+    bath.  Returns (eps, hop) with hop[0] the system-chain coupling; the
+    arrays are shorter than ``depth`` if the Krylov space is exhausted first.
     """
     freqs = np.asarray(freqs, dtype=float)
     couplings_sq = np.asarray(couplings_sq, dtype=float)
@@ -538,4 +492,4 @@ def star_to_chain(freqs: np.ndarray, couplings_sq: np.ndarray,
         raise ValueError("squared couplings must be non-negative")
     if couplings_sq.sum() <= 0:
         raise NumericsError("bath carries no coupling weight")
-    return _lanczos_chain(freqs, np.zeros(0), np.sqrt(couplings_sq), depth)
+    return _lanczos_chain(freqs, np.sqrt(couplings_sq), depth)

@@ -286,7 +286,7 @@ def _chain_gap(cc, eps, hop):
 
 
 class TestModifiedMoments:
-    """The production map against closed forms and a 50-digit run of the same algorithm."""
+    """The production map against closed forms and 50-digit references."""
 
     @pytest.mark.parametrize("lam, depth, tol", [
         (1.0, 128, 1e-12),    # Clenshaw-Curtis moments
@@ -328,11 +328,11 @@ class TestModifiedMoments:
         assert _chain_gap(table, exact.eps, exact.hop) <= 1e-7
 
     def test_gapped_table_merges_its_bands(self):
-        """Two bands with a gap: each is mapped on its own and the chains merged.
+        """Two bands with a gap, against the modified Chebyshev algorithm at 50 digits.
 
         Moments over the whole span amplify roundoff by about 2^depth here
         (double precision loses positivity at depth 52); the reference runs
-        the modified Chebyshev algorithm on those moments at 50 digits.
+        the algorithm on the table's exact moments at 50 digits.
         """
         mpmath = pytest.importorskip("mpmath")
         import chain_oracle
@@ -356,47 +356,131 @@ class TestModifiedMoments:
         assert_allclose(cc.hop[1001::2], 2.0, atol=1e-5)
 
     @pytest.mark.parametrize("width", [1e-2, 0.0], ids=["narrow", "point"])
-    def test_band_merge_matches_the_dense_star(self, width):
-        """The Lanczos merge against a Householder tridiagonalization of the whole star.
+    def test_band_merge_matches_the_dense_star(self, width, monkeypatch):
+        """Two band chains merged through their Gauss rules, against a Householder reduction.
 
-        A band of width 0 is a point mass at 5, to which a Ritz value
-        converges at once: the basis loses orthogonality and is kept
-        orthogonal from there on.
+        A band chain's n-point Gauss rule (the eigenvalues of its Jacobi
+        matrix, with weights hop_0^2 Phi[0, q]^2) is exact to degree 2n - 1,
+        so the star of both rules has the first n levels of the summed
+        measure.  A band of width 0 is a point mass at 5, its rule one node,
+        to which a Ritz value converges at once: the basis loses
+        orthogonality and is kept orthogonal from there on.
         """
-        from scipy.linalg.lapack import dsytrd
+        from scipy.linalg import eigh_tridiagonal
 
         depth = 200
         p = np.arange(1, depth)
-        bands = [(np.zeros(depth), np.concatenate([[1.0], p / np.sqrt(4 * p * p - 1)])),
-                 (np.full(depth, 5.0), np.concatenate([[1.0], np.full(depth - 1, width / 4 or 1e-8)]))]
-        star = np.zeros((1 + 2 * depth, 1 + 2 * depth))
-        for c, (eps, hop) in enumerate(bands):
-            sites = np.arange(1 + c * depth, 1 + (c + 1) * depth)
-            star[sites[0], 0] = hop[0]
-            star[sites, sites] = eps
-            star[sites[1:], sites[:-1]] = hop[1:]
-        _, diagonal, off, _, _ = dsytrd(star, lower=1)
-        cc = ChainCoefficients(*chainmap._merge_bands(bands))
-        assert _chain_gap(cc, diagonal[1:depth + 1], np.abs(off[:depth])) <= 3e-13
+        nodes, phi = eigh_tridiagonal(np.zeros(depth), p / np.sqrt(4 * p * p - 1))
+        rules = [(nodes, phi[0] ** 2)]  # both bands have hop_0 = 1
+        if width:
+            nodes, phi = eigh_tridiagonal(np.full(depth, 5.0), np.full(depth - 1, width / 4))
+            rules.append((nodes, phi[0] ** 2))
+        else:
+            rules.append((np.array([5.0]), np.array([1.0])))
+        freqs = np.concatenate([nodes for nodes, _ in rules])
+        couplings_sq = np.concatenate([weights for _, weights in rules])
+        calls = _spy_on_orthogonalize(monkeypatch)
+        cc = ChainCoefficients(*star_to_chain(freqs, couplings_sq, depth))
+        assert calls or width
+        assert _chain_gap(cc, *_householder_chain(freqs, couplings_sq, depth)) <= 3e-13
 
     @pytest.mark.parametrize("floor", [1e-12, 1e-6])
-    def test_near_gap_is_refused_or_matches_lanczos(self, floor):
-        """J = floor, not 0, across |w| < 1: one band whose moments lose about 2 bits a level.
-
-        The map must raise rather than return a wrong chain; where it
-        returns one, that matches the discretized Lanczos chain to within
-        the Lanczos chain's own discretization error (5e-4 here).
-        """
+    def test_near_gap_matches_a_denser_rule(self, floor, monkeypatch):
+        """J = floor, not 0, across |w| < 1: Chebyshev moments over this span lose
+        about 2 bits a level, the Gauss nodes of its cells lose nothing."""
         omega = np.linspace(-3.0, 3.0, 601)
         values = np.where(np.abs(omega) >= 1.0, 1.0 + 0.5 * np.cos(omega), floor)
-        sf = SpectralFunction.tabulated(omega, values)
-        try:
-            cc = chain_map_tridiag(sf, 100)
-        except NumericsError as exc:
-            assert floor == 1e-12 and "lost accuracy at depth" in str(exc)
-            return
-        eps, hop = star_to_chain(*discretize_modes(sf, 6000), 100)
-        assert _chain_gap(cc, eps, hop) <= 1e-3
+        _, gap = _map_and_denser_rule(monkeypatch, SpectralFunction.tabulated(omega, values), 100)
+        assert gap <= 1e-12
+
+
+def _householder_chain(freqs, couplings_sq, depth):
+    """The chain of a star by Householder reduction of its arrowhead, in extended precision.
+
+    The reduction is normwise backward stable, which in double precision
+    (LAPACK's dsytrd) leaves up to 8e-12 of the largest hopping in the deep
+    levels of a star with a narrow cluster of nodes; np.longdouble's 64-bit
+    mantissa takes that to 5e-15 of a 40-digit Lanczos run on the same star.
+    """
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("np.longdouble is no wider than double here")
+    a = np.diag(np.concatenate([[0.0], freqs]).astype(np.longdouble))
+    a[1:, 0] = np.sqrt(np.asarray(couplings_sq, dtype=np.longdouble))
+    a[0, 1:] = a[1:, 0]
+    eps, hop = np.empty(depth), np.empty(depth)
+    for k in range(depth):
+        x = a[k + 1:, k]
+        norm = np.sqrt(x @ x)
+        v = x.copy()
+        v[0] += math.copysign(1.0, x[0]) * norm
+        v /= np.sqrt(v @ v)
+        rest = a[k + 1:, k + 1:]
+        p = rest @ v
+        q = 2 * (p - (v @ p) * v)
+        rest -= np.outer(v, q) + np.outer(q, v)
+        hop[k], eps[k] = norm, rest[0, 0]
+    return eps, hop
+
+
+def _spy_on_table_star(monkeypatch):
+    """Record (density, (freqs, couplings_sq, exact)) for every node rule a table's map builds."""
+    runs = []
+    table_star = chainmap._table_star
+
+    def spy(table, depth, density):
+        runs.append((density, table_star(table, depth, density)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(chainmap, "_table_star", spy)
+    return runs
+
+
+def _map_and_denser_rule(monkeypatch, sf, depth):
+    """A table's map, and its gap to ``star_to_chain`` on nodes twice as dense as its last run."""
+    runs = _spy_on_table_star(monkeypatch)
+    cc = chain_map_tridiag(sf, depth)
+    freqs, couplings_sq, _ = chainmap._table_star(sf.table, depth, 2 * runs[-1][0])
+    return cc, _chain_gap(cc, *star_to_chain(freqs, couplings_sq, depth))
+
+
+class TestTableMaps:
+    """Tables map by Lanczos on Gauss-Legendre nodes of their cells, tails and all."""
+
+    @pytest.mark.parametrize("sigma", [3.0, 1.0, 0.7])
+    def test_gaussian_table_maps_deep(self, sigma, monkeypatch):
+        """exp(-(w/sigma)^2) on [-6, 6] reaches 1e-32 of its peak at sigma = 0.7."""
+        omega = np.linspace(-6.0, 6.0, 2401)
+        sf = SpectralFunction.tabulated(omega, np.exp(-(omega / sigma) ** 2))
+        cc, gap = _map_and_denser_rule(monkeypatch, sf, 300)
+        assert cc.depth == 300
+        assert gap <= 1e-12
+
+    def test_narrow_bumps_far_apart_map_deep(self, monkeypatch):
+        """Twelve bumps two cells wide: the chain's polynomials put zeros in each
+        of the 24 cells, where the arcsine measure on their span gives the inner
+        cells a node or two each."""
+        omega = np.linspace(-3.0, 3.0, 601)
+        values = np.where(np.arange(601) % 50 == 25, 1.0, 0.0)
+        cc, gap = _map_and_denser_rule(monkeypatch, SpectralFunction.tabulated(omega, values), 300)
+        assert cc.depth == 300
+        assert gap <= 1e-12
+
+    def test_a_map_past_the_basis_limit_raises(self, monkeypatch):
+        """A map whose next run would pass ``KRYLOV_LIMIT`` raises, whatever the table."""
+        monkeypatch.setattr(chainmap, "KRYLOV_LIMIT", 1 << 16)
+        omega = np.linspace(-3.0, 3.0, 601)
+        with pytest.raises(NumericsError, match="has not settled"):
+            chain_map_tridiag(SpectralFunction.tabulated(omega, 1.0 + omega ** 2), 40)
+
+    def test_table_matches_the_mpmath_lanczos_on_its_nodes(self, monkeypatch):
+        """Near-zero and zero stretches beside the weight: the recurrence adds no error."""
+        mpmath = pytest.importorskip("mpmath")
+        runs = _spy_on_table_star(monkeypatch)
+        omega = np.linspace(-3.0, 3.0, 7)
+        values = np.array([1e-14, 1.0, 2.0, 1e-9, 0.0, 1.5, 1e-12])
+        cc = chain_map_tridiag(SpectralFunction.tabulated(omega, values), 30)
+        freqs, couplings_sq, _ = runs[-1][1]
+        _assert_matches_oracle(mpmath, freqs, couplings_sq, cc.eps, cc.hop, 30)
 
 
 def _table_moments_mp(mpmath, omega, values, count):

@@ -177,19 +177,27 @@ class TestChainMaps:
         assert all(bundle.cycle is bundles[0].cycle for bundle in bundles)
 
     def test_production_never_reaches_the_lanczos_oracle(self, monkeypatch, tmp_path):
-        """Lorentzian, flat and gapped tabulated baths all map through the moments."""
+        """No bath is discretized; only a table maps through ``star_to_chain``.
+
+        Lorentzian and flat baths map through their moments, a table through
+        the Gauss nodes of its cells.
+        """
         def refuse(*args, **kwargs):
             raise AssertionError("a point reached the discretize-and-Lanczos oracle")
 
-        for fn in (discretize_modes, star_to_chain):
-            _wrap_at_every_binding(monkeypatch, fn, refuse)
-        clear_caches()
+        stars = []
+        _wrap_at_every_binding(monkeypatch, discretize_modes, refuse)
+        _wrap_at_every_binding(monkeypatch, star_to_chain, lambda *args: stars.append(args[2]))
         omega = np.linspace(-3.0, 3.0, 601)
         write_spectral_table(tmp_path / "gapped.csv", omega, (abs(omega) >= 1.0) * 1.0)
         cfg = engine_config(tau=50.0)
-        for bath1 in (cfg.bath1, BathConfig(kind="flat", kappa=0.5),
-                      BathConfig(kind="tabulated", table=str(tmp_path / "gapped.csv"))):
+        for bath1, via_star in ((cfg.bath1, False), (BathConfig(kind="flat", kappa=0.5), False),
+                                (BathConfig(kind="tabulated", table=str(tmp_path / "gapped.csv")),
+                                 True)):
+            clear_caches()
+            stars.clear()
             assert build_bundle(cfg.replace(bath1=bath1)).l_b > MAP_DEPTH
+            assert bool(stars) == via_star
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
     def test_shipped_baths_settle_within_the_map(self, path, caplog):
